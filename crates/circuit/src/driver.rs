@@ -8,6 +8,12 @@
 /// drivers of strength six at `V_dd = 1 V`. The pull-up and pull-down
 /// resistances are taken as equal (symmetric sizing), which also lets
 /// the simulator reuse one matrix factorisation for every data state.
+/// With that, the driven link is linear and time-invariant and its rails
+/// are constant within a clock cycle, so
+/// [`TsvLink::simulate`](crate::TsvLink::simulate) collapses each cycle
+/// into one precomputed affine map: `(nodes + RL branches + vias) ×
+/// steps` backward-Euler steps once per stream, then one dense mat-vec
+/// per word.
 ///
 /// # Examples
 ///

@@ -222,6 +222,59 @@ impl TsvLink {
         Ok(t)
     }
 
+    /// The supply energy the pull-up drivers draw over `stream` at
+    /// integration step `h`, J, reporting `circuit.progress` on `tel`.
+    /// An empty stream draws nothing and builds no network.
+    fn dynamic_energy(
+        &self,
+        stream: &BitStream,
+        h: f64,
+        tel: &TelemetryHandle,
+    ) -> Result<f64, CircuitError> {
+        if stream.is_empty() {
+            return Ok(0.0);
+        }
+        let (net, drives) = self.build_network();
+        let sim = net.transient_with_telemetry(h, tel)?;
+        let probes: Vec<usize> = (0..drives.len()).map(|i| self.node(i, 0)).collect();
+        let map = sim.cycle_map(self.steps_per_cycle, &probes);
+        let dim = map.state_len();
+        // `input` holds the state, then the rails; `out` the next state,
+        // then each driver node's voltage summed over the cycle's steps.
+        let mut input = vec![0.0; dim + drives.len()];
+        let mut out = vec![0.0; map.output_len()];
+        // A high driver sources g·(V_dd − v) at each step, so one cycle
+        // draws V_dd · g·h·(steps·V_dd − Σv) from the supply.
+        let vdd = self.driver.vdd;
+        let g = 1.0 / self.driver.resistance;
+        let full_swing = self.steps_per_cycle as f64 * vdd;
+        let progress_every = (stream.len() / 16).max(1);
+        let mut energy = 0.0;
+        for (cycle, word) in stream.iter().enumerate() {
+            for (i, &d) in drives.iter().enumerate() {
+                input[dim + d] = if (word >> i) & 1 == 1 { vdd } else { 0.0 };
+            }
+            map.apply(&input, &mut out);
+            input[..dim].copy_from_slice(&out[..dim]);
+            for (i, &sum) in out[dim..].iter().enumerate() {
+                if (word >> i) & 1 == 1 {
+                    energy += g * vdd * h * (full_swing - sum);
+                }
+            }
+            if tel.is_enabled() && (cycle + 1) % progress_every == 0 {
+                tel.event(
+                    "circuit.progress",
+                    &[
+                        ("cycle", Value::from(cycle + 1)),
+                        ("cycles_total", Value::from(stream.len())),
+                        ("dynamic_energy_j", Value::from(energy)),
+                    ],
+                );
+            }
+        }
+        Ok(energy)
+    }
+
     /// Simulates the transmission of `stream` at clock frequency
     /// `clock` (Hz) and returns the supply-energy bookkeeping.
     ///
@@ -229,6 +282,14 @@ impl TsvLink {
     /// integrates the network for one period; the dynamic energy is the
     /// signed integral of the current drawn from the `V_dd` rail through
     /// all pull-up drivers, and leakage is added analytically.
+    ///
+    /// The network is linear and time-invariant and its rails hold for
+    /// a whole cycle, so one cycle's `steps_per_cycle` backward-Euler
+    /// steps compose to one affine map of the state and the rails. The
+    /// map is measured once per call — `(nodes + RL branches + vias) ×
+    /// steps_per_cycle` steps — and every word then costs one dense
+    /// mat-vec. The driver-node voltage sums it also yields give each
+    /// high bit's supply charge for the cycle.
     ///
     /// # Errors
     ///
@@ -243,8 +304,11 @@ impl TsvLink {
     /// [`simulate`](TsvLink::simulate) with instrumentation: wraps the
     /// run in a `circuit.simulate` span, reports energy-integration
     /// progress (`circuit.progress`, ≈16 times per stream), accumulates
-    /// `circuit.cycles`/`circuit.steps` counters and emits a final
-    /// `circuit.energy` event. The returned [`EnergyReport`] is
+    /// `circuit.cycles`/`circuit.steps` counters (`steps` = cycles ×
+    /// steps per cycle, the integration the energy covers) and emits a
+    /// final `circuit.energy` event. The one LU factorisation is timed
+    /// as `circuit.lu_factor` and the cycle map's basis steps as
+    /// `circuit.step_seconds`. The returned [`EnergyReport`] is
     /// identical to the uninstrumented one.
     ///
     /// # Errors
@@ -269,54 +333,25 @@ impl TsvLink {
         let _span = tel.span("circuit.simulate");
         let observe = tel.is_enabled();
 
-        let (net, drives) = self.build_network();
-
         let period = 1.0 / clock;
         let h = period / self.steps_per_cycle as f64;
-        let mut sim = net.transient_with_telemetry(h, tel)?;
-
         let vdd = self.driver.vdd;
-        let progress_every = (stream.len() / 16).max(1);
-        let mut dynamic_energy = 0.0;
-        for (cycle, word) in stream.iter().enumerate() {
-            // Switch the rails to this word's levels.
-            let mut up = Vec::with_capacity(n);
-            for (i, &d) in drives.iter().enumerate() {
-                let high = (word >> i) & 1 == 1;
-                sim.set_rail(d, if high { vdd } else { 0.0 });
-                if high {
-                    up.push(d);
-                }
-            }
-            for _ in 0..self.steps_per_cycle {
-                sim.step();
-                for &d in &up {
-                    dynamic_energy += sim.drive_current(d) * vdd * h;
-                }
-            }
-            if observe && (cycle + 1) % progress_every == 0 {
-                tel.event(
-                    "circuit.progress",
-                    &[
-                        ("cycle", Value::from(cycle + 1)),
-                        ("cycles_total", Value::from(stream.len())),
-                        ("dynamic_energy_j", Value::from(dynamic_energy)),
-                    ],
-                );
-            }
-        }
+        let dynamic_energy = self.dynamic_energy(stream, h, tel)?;
         let total_time = stream.len() as f64 * period;
         let leakage_energy = n as f64 * self.driver.leakage * vdd * total_time;
         if observe {
+            // The integration steps the energy covers, not the map's
+            // basis steps (those are timed in `circuit.step_seconds`).
+            let steps = (stream.len() * self.steps_per_cycle) as u64;
             tel.add("circuit.cycles", stream.len() as u64);
-            tel.add("circuit.steps", sim.steps_taken());
+            tel.add("circuit.steps", steps);
             tel.event(
                 "circuit.energy",
                 &[
                     ("dynamic_energy_j", Value::from(dynamic_energy)),
                     ("leakage_energy_j", Value::from(leakage_energy)),
                     ("cycles", Value::from(stream.len())),
-                    ("steps", Value::from(sim.steps_taken())),
+                    ("steps", Value::from(steps)),
                     ("clock_hz", Value::from(clock)),
                 ],
             );
@@ -385,7 +420,102 @@ impl EnergyReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use tsv3d_model::{Extractor, TsvArray, TsvGeometry};
+
+    /// The per-step energy loop the cycle map replaced, kept verbatim as
+    /// the reference: every backward-Euler step is integrated and each
+    /// high driver's supply current is summed step by step.
+    fn simulate_stepwise(link: &TsvLink, stream: &BitStream, clock: f64) -> EnergyReport {
+        let n = link.netlist.len();
+        let (net, drives) = link.build_network();
+
+        let period = 1.0 / clock;
+        let h = period / link.steps_per_cycle as f64;
+        let mut sim = net.transient(h).expect("link networks are non-singular");
+
+        let vdd = link.driver.vdd;
+        let mut dynamic_energy = 0.0;
+        for word in stream.iter() {
+            // Switch the rails to this word's levels.
+            let mut up = Vec::with_capacity(n);
+            for (i, &d) in drives.iter().enumerate() {
+                let high = (word >> i) & 1 == 1;
+                sim.set_rail(d, if high { vdd } else { 0.0 });
+                if high {
+                    up.push(d);
+                }
+            }
+            for _ in 0..link.steps_per_cycle {
+                sim.step();
+                for &d in &up {
+                    dynamic_energy += sim.drive_current(d) * vdd * h;
+                }
+            }
+        }
+        let total_time = stream.len() as f64 * period;
+        let leakage_energy = n as f64 * link.driver.leakage * vdd * total_time;
+        EnergyReport {
+            dynamic_energy,
+            leakage_energy,
+            cycles: stream.len(),
+            clock,
+        }
+    }
+
+    const SHAPES: [(usize, usize); 5] = [(1, 2), (2, 2), (2, 4), (3, 3), (4, 4)];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(60))]
+
+        #[test]
+        fn cycle_map_matches_the_stepwise_reference(
+            shape in 0..SHAPES.len(),
+            probabilities in prop::collection::vec(0.0..1.0f64, 16),
+            sections in 1..=4usize,
+            steps in 1..=30usize,
+            raw in prop::collection::vec(any::<u64>(), 0..=300),
+            sparsity in 0..4u32,
+            ghz in 0..2usize,
+        ) {
+            let (rows, cols) = SHAPES[shape];
+            let n = rows * cols;
+            let array = TsvArray::new(rows, cols, TsvGeometry::itrs_2018_min()).unwrap();
+            let cap = Extractor::new(array.clone()).extract(&probabilities[..n]).unwrap();
+            let link = TsvLink::new(
+                TsvRcNetlist::from_extraction(&array, cap),
+                DriverModel::ptm_22nm_strength6(),
+            )
+            .unwrap()
+            .with_sections(sections)
+            .with_steps_per_cycle(steps);
+            // Every extra AND halves the toggle rate: sparsity 0 is a
+            // uniformly random stream, 3 toggles a bit one cycle in 16.
+            let mut word = 0;
+            let words = raw
+                .iter()
+                .map(|&r| {
+                    let toggles = (0..sparsity).fold(r, |t, s| t & r.rotate_left(13 * (s + 1)));
+                    word ^= toggles & ((1 << n) - 1);
+                    word
+                })
+                .collect();
+            let stream = BitStream::from_words(n, words).unwrap();
+            let clock = [1.0e9, 3.0e9][ghz];
+
+            let reference = simulate_stepwise(&link, &stream, clock);
+            let report = link.simulate(&stream, clock).unwrap();
+            let (got, want) = (report.dynamic_energy(), reference.dynamic_energy());
+            prop_assert!(
+                (got - want).abs() <= 1e-12 * want.abs() + 1e-24,
+                "{}x{} link: cycle map {:e} J vs stepwise {:e} J", rows, cols, got, want
+            );
+            prop_assert_eq!(report.leakage_energy(), reference.leakage_energy());
+            prop_assert_eq!(report.cycles(), reference.cycles());
+            let tel = TelemetryHandle::with_sink(Box::new(tsv3d_telemetry::NullSink));
+            prop_assert_eq!(link.simulate_with_telemetry(&stream, clock, &tel).unwrap(), report);
+        }
+    }
 
     fn link(rows: usize, cols: usize) -> TsvLink {
         let array = TsvArray::new(rows, cols, TsvGeometry::itrs_2018_min()).expect("array");
@@ -498,16 +628,38 @@ mod tests {
         assert_eq!(plain, observed);
         assert_eq!(tel.counter_value("circuit.cycles"), Some(40));
         assert_eq!(tel.counter_value("circuit.steps"), Some(40 * 24));
+        // The cycle map integrates one basis run per node voltage, RL
+        // branch current and via rail: (2·4 + 2·3 + 2) runs of 24 steps.
+        let (nodes, rl_branches, vias) = (8, 6, 2);
         assert_eq!(
             tel.histogram("circuit.step_seconds").map(|h| h.count()),
-            Some(40 * 24),
-            "every step's solve time is recorded"
+            Some((nodes + rl_branches + vias) * 24),
+            "every basis step of the cycle map is timed"
         );
         assert_eq!(
             tel.histogram("circuit.lu_factor").map(|h| h.count()),
             Some(1),
             "one LU factorisation per simulate call"
         );
+    }
+
+    #[test]
+    fn all_zero_stream_draws_exactly_no_dynamic_energy() {
+        let report = link(2, 2).simulate(&stream(4, &[0; 64]), 3.0e9).unwrap();
+        assert_eq!(report.dynamic_energy(), 0.0);
+        assert!(report.leakage_energy() > 0.0);
+    }
+
+    #[test]
+    fn empty_stream_reports_zero_cycles_without_building_the_map() {
+        let tel = TelemetryHandle::with_sink(Box::new(tsv3d_telemetry::NullSink));
+        let report = link(1, 2)
+            .simulate_with_telemetry(&stream(2, &[]), 3.0e9, &tel)
+            .unwrap();
+        assert_eq!(report.cycles(), 0);
+        assert_eq!(report.total_energy(), 0.0);
+        assert_eq!(tel.counter_value("circuit.steps"), Some(0));
+        assert!(tel.histogram("circuit.step_seconds").is_none());
     }
 
     #[test]

@@ -14,6 +14,16 @@
 //! `i_{n+1} = (v_{n+1} + (L/h)·i_n) / (R + L/h)`, i.e. an effective
 //! conductance `1/(R + L/h)` plus a history current — no extra node is
 //! needed, which keeps the TSV π ladders compact.
+//!
+//! Every step is therefore one linear, time-invariant update of the
+//! state (node voltages and RL branch currents) driven by the rail
+//! voltages. While the rails stay constant — a whole clock cycle of a
+//! driven link — a run of steps composes, by superposition, to one
+//! fixed affine map. The crate measures that map with
+//! [`Transient::step`] itself: one run per state basis vector and one
+//! per rail, `(state + rails) × steps` steps once. Applying it costs one
+//! dense mat-vec of `(state + probes) × (state + rails)` per cycle
+//! instead of `steps` LU solves, and it is exact up to rounding.
 
 use crate::CircuitError;
 use tsv3d_telemetry::{TelemetryHandle, Value};
@@ -340,6 +350,91 @@ impl Transient {
                 .record("circuit.step_seconds", start.elapsed().as_secs_f64());
         }
     }
+
+    /// Measures the exact effect of `steps` [`step`](Transient::step)s
+    /// at constant rail voltages: the next state, and for each of
+    /// `probe_nodes` the sum of its voltage after each of those steps.
+    ///
+    /// The step is linear in the state and the rails, so the map is
+    /// recorded column by column: `steps` steps from each state basis
+    /// vector (1 V on one node or 1 A in one RL branch) with every rail
+    /// at 0 V, then from the zero state with each rail at 1 V in turn.
+    /// The runs use up the simulator, whose state they overwrite.
+    pub(crate) fn cycle_map(mut self, steps: usize, probe_nodes: &[usize]) -> CycleMap {
+        let n = self.netlist.nodes;
+        let dim = n + self.branch_currents.len();
+        let rows = dim + probe_nodes.len();
+        let mut columns = vec![0.0; rows * (dim + self.rails.len())];
+        for (c, column) in columns.chunks_exact_mut(rows).enumerate() {
+            self.v.fill(0.0);
+            self.branch_currents.fill(0.0);
+            self.rails.fill(0.0);
+            if c < n {
+                self.v[c] = 1.0;
+            } else if c < dim {
+                self.branch_currents[c - n] = 1.0;
+            } else {
+                self.rails[c - dim] = 1.0;
+            }
+            let (state, sums) = column.split_at_mut(dim);
+            for _ in 0..steps {
+                self.step();
+                for (sum, &node) in sums.iter_mut().zip(probe_nodes) {
+                    *sum += self.voltage(node);
+                }
+            }
+            state[..n].copy_from_slice(&self.v);
+            state[n..].copy_from_slice(&self.branch_currents);
+        }
+        CycleMap { dim, rows, columns }
+    }
+}
+
+/// One clock cycle of a [`Transient`] as an affine map, built by
+/// `Transient::cycle_map`.
+///
+/// The input is the state (node voltages, then RL branch currents)
+/// followed by the rail voltages; the output is the state after the
+/// cycle followed by one voltage sum per probe node.
+#[derive(Debug, Clone)]
+pub(crate) struct CycleMap {
+    /// State length.
+    dim: usize,
+    /// Output length: the state plus one sum per probe.
+    rows: usize,
+    /// Column-major `rows × (dim + rails)`.
+    columns: Vec<f64>,
+}
+
+impl CycleMap {
+    /// State length (node voltages plus RL branch currents).
+    pub(crate) fn state_len(&self) -> usize {
+        self.dim
+    }
+
+    /// Output length (state plus probe sums).
+    pub(crate) fn output_len(&self) -> usize {
+        self.rows
+    }
+
+    /// Writes the map of `input = [state, rails]` into `out = [next
+    /// state, probe sums]`. Zero inputs — low rails — cost nothing.
+    pub(crate) fn apply(&self, input: &[f64], out: &mut [f64]) {
+        assert_eq!(
+            input.len() * self.rows,
+            self.columns.len(),
+            "input size mismatch"
+        );
+        assert_eq!(out.len(), self.rows, "output size mismatch");
+        out.fill(0.0);
+        for (&u, column) in input.iter().zip(self.columns.chunks_exact(self.rows)) {
+            if u != 0.0 {
+                for (o, &m) in out.iter_mut().zip(column) {
+                    *o += u * m;
+                }
+            }
+        }
+    }
 }
 
 /// Dense LU factors with partial pivoting.
@@ -634,5 +729,85 @@ mod rl_tests {
         assert!(dip_after_peak < 0.9, "no ring-back: dip = {dip_after_peak}");
         // And it settles to the rail eventually.
         assert!((sim.voltage(2) - 1.0).abs() < 0.05);
+    }
+}
+
+#[cfg(test)]
+mod cycle_map_tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// A coupled RLC netlist: two driven lines (nodes 1–2 and 3–4)
+    /// with capacitive coupling, inductive and purely resistive RL
+    /// branches, and a resistor to ground.
+    fn coupled_rlc() -> Netlist {
+        let mut net = Netlist::new(4);
+        net.rl_branch(1, 2, 20.0, 2e-11);
+        net.rl_branch(3, 4, 30.0, 0.0);
+        net.rl_branch(2, 0, 5e3, 1e-9);
+        for node in 1..=4 {
+            net.capacitor(node, 0, 2e-15 * node as f64);
+        }
+        net.capacitor(1, 3, 3e-15);
+        net.capacitor(2, 4, 4e-15);
+        net.resistor(4, 0, 1e4);
+        net.drive(1, 1.0 / 1.5e3, 0.0);
+        net.drive(3, 1.0 / 2.5e3, 0.0);
+        net
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn cycle_map_equals_direct_steps(
+            volts in prop::collection::vec(-1.0..1.0f64, 4),
+            amps in prop::collection::vec(-1e-3..1e-3f64, 3),
+            rails in prop::collection::vec(-1.0..1.0f64, 2),
+            steps in 1..=30usize,
+        ) {
+            let probes = [1, 4, 2];
+            let mut sim = coupled_rlc().transient(1e-12).unwrap();
+            let map = sim.clone().cycle_map(steps, &probes);
+            prop_assert_eq!(map.state_len(), 7);
+            prop_assert_eq!(map.output_len(), 10);
+
+            sim.v.copy_from_slice(&volts);
+            sim.branch_currents.copy_from_slice(&amps);
+            for (k, &r) in rails.iter().enumerate() {
+                sim.set_rail(k, r);
+            }
+            let input: Vec<f64> = volts.iter().chain(&amps).chain(&rails).copied().collect();
+            let mut out = vec![0.0; map.output_len()];
+            map.apply(&input, &mut out);
+
+            let mut sums = [0.0; 3];
+            for _ in 0..steps {
+                sim.step();
+                for (sum, &node) in sums.iter_mut().zip(&probes) {
+                    *sum += sim.voltage(node);
+                }
+            }
+            let direct: Vec<f64> =
+                sim.v.iter().chain(&sim.branch_currents).chain(&sums).copied().collect();
+            // Voltages, currents and sums each compared at their own scale.
+            for (range, scale) in [(0..4, 1.0), (4..7, 1e-3), (7..10, steps as f64)] {
+                for i in range {
+                    prop_assert!(
+                        (out[i] - direct[i]).abs() <= 1e-12 * scale,
+                        "entry {}: map {:e} vs steps {:e}", i, out[i], direct[i]
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zero_input_maps_to_exact_zero() {
+        let sim = coupled_rlc().transient(1e-12).unwrap();
+        let map = sim.cycle_map(24, &[1, 3]);
+        let mut out = vec![1.0; map.output_len()];
+        map.apply(&vec![0.0; map.state_len() + 2], &mut out);
+        assert!(out.iter().all(|&x| x == 0.0));
     }
 }

@@ -54,7 +54,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A point-in-time copy of everything `/metrics` exposes.
 ///
@@ -462,11 +462,19 @@ impl MetricsServer {
 
 /// Reads the request head (up to the blank line, capped at 16 KiB) and
 /// returns the request line, or `None` for unreadable/empty input.
+///
+/// The whole head must arrive within 2 s: each read waits only for the
+/// time left, so a client trickling bytes cannot hold the accept
+/// thread (and every scrape queued behind it) for longer.
 fn read_request_line(stream: &mut TcpStream) -> Option<String> {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
+    let deadline = Instant::now() + Duration::from_secs(2);
     let mut buf = Vec::with_capacity(512);
     let mut chunk = [0u8; 512];
     loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            break;
+        }
         match stream.read(&mut chunk) {
             Ok(0) => break,
             Ok(n) => {

@@ -5,8 +5,9 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use tsv3d_telemetry::export::{DashHtml, MetricsServer, RunsJson};
 use tsv3d_telemetry::{NullSink, TelemetryHandle};
@@ -348,6 +349,37 @@ fn concurrent_scrapes_during_active_recording_all_succeed() {
         assert_eq!(scraper.join().unwrap(), 10);
     }
     assert_eq!(tel.counter_value("load.ops"), Some(2000));
+    server.shutdown();
+}
+
+#[test]
+fn trickling_client_cannot_hold_the_serve_loop() {
+    let tel = TelemetryHandle::with_sink(Box::new(NullSink));
+    let server = start(&tel, None);
+    let addr = server.local_addr();
+    // One byte every 300 ms, never a blank line: each byte arrives well
+    // within any per-read timeout, so only a deadline on the whole head
+    // frees the single accept thread.
+    let stop = Arc::new(AtomicBool::new(false));
+    let trickler_stop = Arc::clone(&stop);
+    let trickler = std::thread::spawn(move || {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        for &byte in b"GET /metrics?trickled-one-byte-at-a-time" {
+            if trickler_stop.load(Relaxed) || stream.write_all(&[byte]).is_err() {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(300));
+        }
+    });
+    std::thread::sleep(Duration::from_millis(100));
+
+    let asked = Instant::now();
+    let response = get(&server, "/healthz");
+    let waited = asked.elapsed();
+    stop.store(true, Relaxed);
+    trickler.join().unwrap();
+    assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
+    assert!(waited < Duration::from_secs(5), "healthz waited {waited:?}");
     server.shutdown();
 }
 
