@@ -1,38 +1,43 @@
-//! Cross-run changepoint analytics over the history ledger.
+//! Cross-run changepoint analytics over the history ledger, and the
+//! regression gate built on them.
 //!
-//! [`crate::history`] judges the *latest* record against a trailing
-//! window — good for "did this run regress", blind to "when did the
-//! trend shift". This module upgrades the ledger to real regression
-//! detection: a std-only changepoint detector that scans every
-//! per-`(kind, case)` series for the split that best separates an old
-//! regime from a new one, and reports a verdict per metric —
-//! **steady**, **improved@rev** or **regressed@rev** — naming the git
-//! revision that started the new regime.
+//! [`crate::history`] compares the *latest* record with a trailing
+//! window — good for "did this run move", blind to "when did the
+//! trend shift". This module adds a std-only changepoint detector that
+//! looks at every series (one `(kind, case, threads)` triple) two
+//! ways, with one significance check:
 //!
-//! The detector is a sliding two-window median split with a rank-based
-//! significance guard:
+//! * [`detect`] (`tsv3d history --detect`, `tsv3d dash`) shows history:
+//!   it scans every split of a series and reports the best-fitting
+//!   one — **steady**, **improved@rev** or **regressed@rev** — naming
+//!   the git revision that started the new regime;
+//! * [`gate`] (`tsv3d history --gate-detect`) judges the **newest**
+//!   record against up to [`WINDOW_CAP`] records before it, so an old
+//!   speed-up cannot mask a new regression and a regression that later
+//!   runs confirmed as the new level does not fail every later run.
 //!
-//! * every split index with at least [`MIN_LEFT`] records before it
-//!   and [`MIN_RIGHT`] after it is a candidate; each side is capped at
-//!   [`WINDOW_CAP`] records around the split so ancient history cannot
-//!   dilute a recent shift;
-//! * the candidate's effect is the relative change of the right-window
-//!   median vs. the left-window median;
+//! The check behind both (`split_effect`) is a two-window median
+//! split with a rank-based significance guard:
+//!
+//! * a split has at least [`MIN_LEFT`] records before it and
+//!   [`MIN_RIGHT`] after it; each side is capped at [`WINDOW_CAP`]
+//!   records around the split so ancient history cannot dilute a
+//!   recent shift;
+//! * its effect is the relative change of the right-window median vs.
+//!   the left-window median, and must exceed the threshold;
 //! * a rank guard (a Mann–Whitney-style cross-pair count: the fraction
 //!   of (left, right) pairs ordered in the effect direction, ties
 //!   counted half) must reach [`RANK_FRACTION`] — medians alone would
-//!   let one outlier in a short window fake a regime change;
-//! * the surviving split with the largest absolute effect wins.
+//!   let one outlier in a short window fake a regime change.
 //!
-//! Both `median_ns` and `alloc_bytes_per_iter` are scanned (records
+//! Both `median_ns` and `alloc_bytes_per_iter` are judged (records
 //! without allocation data simply drop out of that series). Series
 //! shorter than [`MIN_SERIES`] records get an **insufficient** verdict
 //! — a young ledger is not a regression — which also keeps the gate
-//! (`tsv3d history --gate-detect`) quiet until there is real history.
-//! Everything is a pure function of the ledger text: no clock, no
-//! RNG, byte-deterministic output.
+//! quiet until there is real history. Everything is a pure function of
+//! the ledger text: no clock, no RNG, byte-deterministic output.
 
-use crate::history::{group_records, HistoryRecord, Ledger};
+use crate::history::{group_records, median_of, HistoryRecord, Ledger};
 use crate::json::ObjectWriter;
 
 /// Minimum records on the left (old-regime) side of a candidate split.
@@ -69,7 +74,7 @@ pub struct Changepoint {
     pub delta_pct: f64,
 }
 
-/// Verdict for one metric series of one `(kind, case)` group.
+/// Verdict for one metric series.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SeriesVerdict {
     /// No significant regime change found.
@@ -113,14 +118,16 @@ pub struct SeriesAnalysis {
     pub verdict: SeriesVerdict,
 }
 
-/// Per-`(kind, case)` changepoint verdicts over both tracked metrics.
+/// Per-series verdicts over both tracked metrics.
 #[derive(Debug, Clone)]
 pub struct CaseVerdicts {
     /// Record kind (`bench` / `run`).
     pub kind: String,
     /// Case name.
     pub case: String,
-    /// Total ledger records in the group.
+    /// Worker-thread count of the series.
+    pub threads: u64,
+    /// Total ledger records in the series.
     pub runs: usize,
     /// Verdict over `median_ns` (wall time).
     pub wall: SeriesAnalysis,
@@ -129,12 +136,21 @@ pub struct CaseVerdicts {
 }
 
 impl CaseVerdicts {
-    /// True when either metric regressed — the `--gate-detect`
-    /// criterion.
+    /// True when either metric regressed — under [`gate`], the
+    /// `--gate-detect` failure criterion.
     pub fn regressed(&self) -> bool {
         matches!(self.wall.verdict, SeriesVerdict::Regressed(_))
             || matches!(self.alloc.verdict, SeriesVerdict::Regressed(_))
     }
+
+    /// The series as messages name it: `kind/case (threads N)`.
+    pub fn label(&self) -> String {
+        series_label(&self.kind, &self.case, self.threads)
+    }
+}
+
+fn series_label(kind: &str, case: &str, threads: u64) -> String {
+    format!("{kind}/{case} (threads {threads})")
 }
 
 /// Fraction of `(left, right)` cross-pairs ordered in the direction of
@@ -154,60 +170,87 @@ fn rank_fraction(left: &[f64], right: &[f64], positive: bool) -> f64 {
     score / (left.len() * right.len()) as f64
 }
 
-fn median_of(mut values: Vec<f64>) -> f64 {
-    values.sort_by(|a, b| a.partial_cmp(b).expect("finite metric values"));
-    let n = values.len();
-    if n % 2 == 1 {
-        values[n / 2]
-    } else {
-        (values[n / 2 - 1] + values[n / 2]) / 2.0
+/// A significant split: `(split_index, before_median, after_median,
+/// delta_pct)`.
+pub type Split = (usize, f64, f64, f64);
+
+/// The check every split must pass: `(before_median, after_median,
+/// delta_pct)` when the `right` median moved more than `threshold_pct`
+/// from a positive `left` median and the rank guard agrees on the
+/// direction; `None` otherwise.
+fn split_effect(left: &[f64], right: &[f64], threshold_pct: f64) -> Option<(f64, f64, f64)> {
+    let before = median_of(&mut left.to_vec());
+    let after = median_of(&mut right.to_vec());
+    if before <= 0.0 {
+        return None;
     }
+    let delta_pct = (after - before) / before * 100.0;
+    // The epsilon keeps a threshold match (110 vs. 100 at 10 %) from
+    // flipping on the last ulp of the division.
+    let significant = delta_pct.abs() > threshold_pct + 1e-6
+        && rank_fraction(left, right, delta_pct > 0.0) >= RANK_FRACTION;
+    significant.then_some((before, after, delta_pct))
 }
 
-/// Scans one value series for its strongest significant changepoint.
+/// Total absolute deviation of `values` from `median`.
+fn spread(values: &[f64], median: f64) -> f64 {
+    values.iter().map(|v| (v - median).abs()).sum()
+}
+
+/// Scans one value series for its best-fitting significant changepoint.
 ///
-/// Returns `(split_index, before_median, after_median, delta_pct)` for
-/// the surviving split with the largest absolute effect, or `None`
-/// when the series is steady. Callers are expected to have checked
-/// [`MIN_SERIES`] already.
-pub fn detect_split(values: &[f64], threshold_pct: f64) -> Option<(usize, f64, f64, f64)> {
+/// Among the splits that pass `split_effect`, the one whose two
+/// windows lie closest to their own medians (least total absolute
+/// deviation) wins, and ties go to the larger effect. A split one
+/// record early carries that old-regime record into its new-regime
+/// window, so it loses to the true boundary even when its median
+/// effect is as large. `None` when the series is steady. Callers are
+/// expected to have checked [`MIN_SERIES`] already.
+pub fn detect_split(values: &[f64], threshold_pct: f64) -> Option<Split> {
     let n = values.len();
-    let mut best: Option<(usize, f64, f64, f64)> = None;
     if n < MIN_LEFT + MIN_RIGHT {
         return None;
     }
+    let mut best: Option<(Split, f64)> = None;
     for split in MIN_LEFT..=(n - MIN_RIGHT) {
         let left = &values[split.saturating_sub(WINDOW_CAP)..split];
         let right = &values[split..(split + WINDOW_CAP).min(n)];
-        let before = median_of(left.to_vec());
-        let after = median_of(right.to_vec());
-        if before <= 0.0 {
+        let Some((before, after, delta_pct)) = split_effect(left, right, threshold_pct) else {
             continue;
-        }
-        let delta_pct = (after - before) / before * 100.0;
-        // Same epsilon slack as the trend gate: a threshold match must
-        // not flip on the last ulp of the division.
-        if delta_pct.abs() <= threshold_pct + 1e-6 {
-            continue;
-        }
-        if rank_fraction(left, right, delta_pct > 0.0) < RANK_FRACTION {
-            continue;
-        }
-        let stronger = best
-            .as_ref()
-            .is_none_or(|(_, _, _, best_delta)| delta_pct.abs() > best_delta.abs());
-        if stronger {
-            best = Some((split, before, after, delta_pct));
+        };
+        let deviation = spread(left, before) + spread(right, after);
+        let better = best.is_none_or(|((.., best_delta), best_deviation)| {
+            deviation < best_deviation
+                || (deviation == best_deviation && delta_pct.abs() > best_delta.abs())
+        });
+        if better {
+            best = Some(((split, before, after, delta_pct), deviation));
         }
     }
-    best
+    best.map(|(split, _)| split)
 }
 
-/// Runs the detector over one metric extracted from a record series.
+/// Judges the newest value against up to [`WINDOW_CAP`] values before
+/// it with the same `split_effect` check: the split [`gate`] looks at.
+fn newest_split(values: &[f64], threshold_pct: f64) -> Option<Split> {
+    let newest = values.len().checked_sub(MIN_RIGHT)?;
+    if newest < MIN_LEFT {
+        return None;
+    }
+    let left = &values[newest.saturating_sub(WINDOW_CAP)..newest];
+    split_effect(left, &values[newest..], threshold_pct)
+        .map(|(before, after, delta_pct)| (newest, before, after, delta_pct))
+}
+
+/// How a series is searched for its split.
+type FindSplit = fn(&[f64], f64) -> Option<Split>;
+
+/// Runs `find` over one metric extracted from a record series.
 fn analyze_series(
     records: &[&HistoryRecord],
     metric: impl Fn(&HistoryRecord) -> Option<f64>,
     threshold_pct: f64,
+    find: FindSplit,
 ) -> SeriesAnalysis {
     let series: Vec<(f64, &HistoryRecord)> = records
         .iter()
@@ -221,7 +264,7 @@ fn analyze_series(
         };
     }
     let values: Vec<f64> = series.iter().map(|(v, _)| *v).collect();
-    let verdict = match detect_split(&values, threshold_pct) {
+    let verdict = match find(&values, threshold_pct) {
         None => SeriesVerdict::Steady,
         Some((split, before, after, delta_pct)) => {
             let first_new = series[split].1;
@@ -243,19 +286,55 @@ fn analyze_series(
     SeriesAnalysis { points, verdict }
 }
 
-/// Runs changepoint detection over every `(kind, case)` group of the
-/// ledger, sorted by group key for stable output.
-pub fn detect(ledger: &Ledger, threshold_pct: f64) -> Vec<CaseVerdicts> {
+/// Judges every series of the ledger with `find`, sorted by series
+/// key for stable output.
+fn judge(ledger: &Ledger, threshold_pct: f64, find: FindSplit) -> Vec<CaseVerdicts> {
     group_records(ledger)
         .into_iter()
-        .map(|((kind, case), records)| CaseVerdicts {
+        .map(|((kind, case, threads), records)| CaseVerdicts {
             kind,
             case,
+            threads,
             runs: records.len(),
-            wall: analyze_series(&records, |r| Some(r.median_ns), threshold_pct),
-            alloc: analyze_series(&records, |r| r.alloc_bytes_per_iter, threshold_pct),
+            wall: analyze_series(&records, |r| Some(r.median_ns), threshold_pct, find),
+            alloc: analyze_series(&records, |r| r.alloc_bytes_per_iter, threshold_pct, find),
         })
         .collect()
+}
+
+/// Shows each series' history: its best-fitting changepoint, whenever
+/// it happened.
+pub fn detect(ledger: &Ledger, threshold_pct: f64) -> Vec<CaseVerdicts> {
+    judge(ledger, threshold_pct, detect_split)
+}
+
+/// The regression gate: judges each series' newest record against up
+/// to [`WINDOW_CAP`] records before it.
+///
+/// An allocation window whose median is zero (an allocation-free case)
+/// skips that comparison.
+///
+/// # Errors
+///
+/// The labels of the series whose gated records (the newest and the
+/// window it is judged against) hold a non-positive `median_ns`: a
+/// corrupt row that would otherwise disable the gate without a trace.
+pub fn gate(ledger: &Ledger, threshold_pct: f64) -> Result<Vec<CaseVerdicts>, Vec<String>> {
+    let bad: Vec<String> = group_records(ledger)
+        .into_iter()
+        .filter(|(_, records)| {
+            records.len() >= MIN_SERIES
+                && records[records.len().saturating_sub(WINDOW_CAP + 1)..]
+                    .iter()
+                    .any(|r| r.median_ns <= 0.0)
+        })
+        .map(|((kind, case, threads), _)| series_label(&kind, &case, threads))
+        .collect();
+    if bad.is_empty() {
+        Ok(judge(ledger, threshold_pct, newest_split))
+    } else {
+        Err(bad)
+    }
 }
 
 fn verdict_text(analysis: &SeriesAnalysis) -> String {
@@ -281,15 +360,16 @@ pub fn render_table(reports: &[CaseVerdicts], threshold_pct: f64) -> String {
     }
     let _ = writeln!(
         out,
-        "{:<5} {:<32} {:>5}  {:<34} {:<34} (threshold {:.0}%)",
-        "kind", "case", "runs", "wall_ns", "alloc_bytes_per_iter", threshold_pct
+        "{:<5} {:<32} {:>3} {:>5}  {:<34} {:<34} (threshold {:.0}%)",
+        "kind", "case", "thr", "runs", "wall_ns", "alloc_bytes_per_iter", threshold_pct
     );
     for report in reports {
         let _ = writeln!(
             out,
-            "{:<5} {:<32} {:>5}  {:<34} {:<34}",
+            "{:<5} {:<32} {:>3} {:>5}  {:<34} {:<34}",
             report.kind,
             report.case,
+            report.threads,
             report.runs,
             verdict_text(&report.wall),
             verdict_text(&report.alloc),
@@ -319,6 +399,7 @@ pub fn case_json(report: &CaseVerdicts) -> String {
     let mut w = ObjectWriter::new();
     w.str("kind", &report.kind)
         .str("case", &report.case)
+        .u64("threads", report.threads)
         .u64("runs", report.runs as u64)
         .raw("wall_ns", &series_json(&report.wall))
         .raw("alloc_bytes_per_iter", &series_json(&report.alloc));
@@ -359,6 +440,7 @@ mod tests {
             wall_s: None,
             stalls: None,
             threads: 4,
+            available_parallelism: None,
         }
     }
 
@@ -553,6 +635,58 @@ mod tests {
         assert_eq!(wall.get("verdict").and_then(JsonValue::as_str), Some("regressed"));
         assert_eq!(wall.get("git_rev").and_then(JsonValue::as_str), Some("rev4"));
         assert_eq!(wall.get("index").and_then(JsonValue::as_u64), Some(4));
+    }
+
+    /// The verdicts `detect` gives a series of `(rev, median)` pairs.
+    fn detect_revs(points: &[(&str, f64)]) -> SeriesVerdict {
+        let mut ledger = Ledger::default();
+        for (i, (rev, median)) in points.iter().enumerate() {
+            ledger
+                .records
+                .push(record("case_a", i as u64, rev, *median, None));
+        }
+        detect(&ledger, DEFAULT_DETECT_PCT).remove(0).wall.verdict
+    }
+
+    #[test]
+    fn a_step_is_named_at_its_first_new_record_not_one_early() {
+        // Splitting one record early has the same median effect (+30 %)
+        // and passes the rank guard, but leaves a 100 in the new window.
+        let revs: Vec<String> = (1..=20).map(|i| format!("r{i}")).collect();
+        let points: Vec<(&str, f64)> = revs
+            .iter()
+            .enumerate()
+            .map(|(i, rev)| (rev.as_str(), if i < 4 { 100.0 } else { 130.0 }))
+            .collect();
+        match detect_revs(&points) {
+            SeriesVerdict::Regressed(cp) => {
+                assert_eq!((cp.git_rev.as_str(), cp.index), ("r5", 4));
+                assert!((cp.delta_pct - 30.0).abs() < 1e-9, "{}", cp.delta_pct);
+            }
+            other => panic!("expected regressed, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn the_large_anneal_speed_up_is_named_at_its_first_fast_record() {
+        // The committed anneal_large_6x6_serial rows, then eight rows at
+        // the last one's median. The largest effect starts at the third
+        // c26e2ca row (96.7 ms); the tightest windows start where the
+        // speed-up did.
+        let mut points = vec![
+            ("c26e2ca", 101_480_660.0),
+            ("c26e2ca", 99_915_239.0),
+            ("c26e2ca", 96_661_511.0),
+            ("f0aab8e", 45_866_441.0),
+            ("f0aab8e", 18_636_047.0),
+        ];
+        points.extend([("next", 18_636_047.0); 8]);
+        match detect_revs(&points) {
+            SeriesVerdict::Improved(cp) => {
+                assert_eq!((cp.git_rev.as_str(), cp.index), ("f0aab8e", 3));
+            }
+            other => panic!("expected improved, got {other:?}"),
+        }
     }
 
     #[test]

@@ -19,11 +19,10 @@ use crate::converge;
 use crate::dash;
 use crate::explain;
 use crate::flamegraph;
-use crate::gate;
 use crate::harness::{measure, measure_with_handle, BenchOptions};
 use crate::history;
 use crate::registry;
-use crate::report::{self, BenchReport};
+use crate::report::BenchReport;
 use crate::trace;
 use crate::watch;
 use std::fmt::Display;
@@ -37,8 +36,10 @@ use tsv3d_telemetry::{JsonLinesSink, NullSink, Sink, TelemetryHandle, Value};
 pub const BENCH_USAGE: &str = "\
 Usage: tsv3d bench [options]
 
-Runs the registered benchmark cases and writes one BENCH_<case>.json
-artifact per case (schema tsv3d-bench/v2; v1 baselines still compare).
+Runs the registered benchmark cases, writes one BENCH_<case>.json
+artifact per case (schema tsv3d-bench/v2) and appends one record per
+case to the cross-run ledger, which `tsv3d history --gate-detect`
+gates on.
 
 Options:
   --quick               reduced budget (1 warmup + 5 iters) for smoke runs
@@ -49,16 +50,6 @@ Options:
                         (default 4; 0 = one per CPU). Results are
                         bit-identical for every N — only timings change
   --out-dir DIR         artifact directory (default results/bench)
-  --baseline FILE       compare medians against a baseline artifact
-  --gate PCT            with --baseline: exit 1 if any case's median
-                        time regresses by more than PCT percent; a
-                        non-positive baseline median is a usage error
-                        (exit 2)
-  --gate-mem PCT        with --baseline: exit 1 if any case's median
-                        allocated bytes/iteration regress by more than
-                        PCT percent; cases without memory data on both
-                        sides are skipped
-  --write-baseline FILE also write a combined baseline artifact
   --history FILE        cross-run ledger to append per-case summary
                         records to (default results/history.jsonl;
                         schema tsv3d-history/v1, see `tsv3d history`)
@@ -130,26 +121,32 @@ Usage: tsv3d history [file.jsonl] [options]
 
 Analyzes the cross-run ledger (default results/history.jsonl) that
 `tsv3d bench` and instrumented experiment runs append to: one
-tsv3d-history/v1 record per case per run. Renders a per-case trend
-table comparing each case's latest record against the median of the
-trailing window; malformed ledger lines are skipped and counted.
+tsv3d-history/v1 record per case per run. A series is one (kind, case,
+threads) triple. Renders a per-series trend table comparing each
+series' latest record against the median of the trailing window;
+malformed ledger lines are skipped and counted.
 
 Options:
   --window K            trailing records to take the median over
                         (default 5)
   --case SUBSTR         only show cases whose name contains SUBSTR
-  --detect              changepoint mode: scan each case's full wall
-                        and alloc series with a two-window median
-                        split + rank-significance guard and report
-                        steady / improved@rev / regressed@rev; series
-                        with fewer than 5 records are `insufficient`
-                        and never flagged
+  --detect              show history: scan each series' full wall and
+                        alloc record with a two-window median split +
+                        rank-significance guard and report its
+                        best-fitting changepoint (steady /
+                        improved@rev / regressed@rev); series with
+                        fewer than 5 records are `insufficient`
   --detect-pct PCT      changepoint effect-size threshold, percent
                         (default 10; implies --detect)
-  --gate-detect         exit 1 if --detect flags any regression
-                        changepoint (implies --detect)
-  --format json|text    output format (default text); with --detect,
-                        json emits one tsv3d-history-detect/v1 object
+  --gate-detect         the regression gate: judge each series' newest
+                        record against up to 8 records before it with
+                        the same check, and exit 1 if any regressed;
+                        a non-positive median_ns among those records
+                        exits 2 (BAD-BASELINE). Series with fewer than
+                        5 records are never gated
+  --format json|text    output format (default text); with --detect or
+                        --gate-detect, json emits one
+                        tsv3d-history-detect/v1 object
 ";
 
 /// Usage text of `tsv3d serve`.
@@ -348,10 +345,6 @@ const SUBCOMMANDS: [Subcommand; 8] = [
             ("--case", One),
             ("--threads", One),
             ("--out-dir", One),
-            ("--baseline", One),
-            ("--gate", One),
-            ("--gate-mem", One),
-            ("--write-baseline", One),
             ("--history", One),
             ("--no-history", Switch),
             ("--trace", One),
@@ -672,14 +665,6 @@ fn run_bench(args: &Args) -> Result<i32, Fail> {
     let out_dir = args
         .path("--out-dir")
         .unwrap_or_else(|| PathBuf::from("results/bench"));
-    let baseline_path = args.path("--baseline");
-    let gate_pct = args.pct("--gate")?;
-    let mem_gate_pct = args.pct("--gate-mem")?;
-    for (flag, pct) in [("--gate", gate_pct), ("--gate-mem", mem_gate_pct)] {
-        if pct.is_some() && baseline_path.is_none() {
-            return Err(Fail::Usage(format!("{flag} requires --baseline")));
-        }
-    }
     let ledger_path = (!args.switch("--no-history")).then(|| {
         args.path("--history")
             .unwrap_or_else(|| PathBuf::from("results/history.jsonl"))
@@ -749,7 +734,7 @@ fn run_bench(args: &Args) -> Result<i32, Fail> {
             }
             None => measure(case.name, case.area, options, &mut *body),
         };
-        let report = BenchReport::stamp(measurement);
+        let report = BenchReport::stamp(measurement, config.threads as u64);
         match &report.measurement.mem {
             Some(mem) => println!(
                 "  {:<32} median {:>12} ns   p95 {:>12} ns   mem {:>12} B/iter",
@@ -797,7 +782,8 @@ fn run_bench(args: &Args) -> Result<i32, Fail> {
                 // wall time and stall counts belong to run records.
                 wall_s: None,
                 stalls: None,
-                threads: config.threads as u64,
+                threads: r.threads,
+                available_parallelism: r.available_parallelism,
             })
             .collect();
         // The ledger is trajectory bookkeeping, not the measurement:
@@ -815,53 +801,7 @@ fn run_bench(args: &Args) -> Result<i32, Fail> {
         }
     }
 
-    if let Some(path) = args.path("--write-baseline") {
-        create_dir(path.parent().unwrap_or(Path::new("")))?;
-        write(&path, report::baseline_to_json(&reports) + "\n")?;
-        println!("wrote baseline to {}", path.display());
-    }
-
-    let Some(baseline_path) = &baseline_path else {
-        return Ok(0);
-    };
-    let baseline = report::parse_summaries(&read(baseline_path)?)
-        .map_err(|e| Fail::Runtime(format!("baseline `{}`: {e}", baseline_path.display())))?;
-    let current: Vec<_> = reports
-        .iter()
-        .map(|r| report::CaseSummary {
-            case: r.measurement.case.clone(),
-            median_ns: r.measurement.wall.median_ns as f64,
-            p95_ns: Some(r.measurement.wall.p95_ns as f64),
-            mem_bytes: r
-                .measurement
-                .mem
-                .as_ref()
-                .map(|m| m.median_iter_bytes as f64),
-        })
-        .collect();
-    // Without --gate/--gate-mem the comparison is informational only.
-    let gating = gate_pct.is_some() || mem_gate_pct.is_some();
-    let outcome = gate::compare(&current, &baseline, gate_pct.unwrap_or(10.0), mem_gate_pct);
-    println!("\nbaseline: {}", baseline_path.display());
-    print!("{}", outcome.render());
-    if gating && outcome.invalid_baselines() > 0 {
-        // A zeroed/corrupt baseline silently disabling the gate is
-        // worse than a failing gate: treat it as a usage error.
-        // (Zero *memory* baselines are legitimate — allocation-free
-        // cases and v1 baselines — and never reach this path.)
-        eprintln!(
-            "error: gating with {} unusable baseline median(s) in `{}`; \
-             regenerate it with --write-baseline",
-            outcome.invalid_baselines(),
-            baseline_path.display()
-        );
-        return Ok(2);
-    }
-    // Each gate only fails the run when its flag was given: a
-    // `--gate-mem`-only invocation must not trip on timing noise.
-    let time_failed = gate_pct.is_some() && outcome.regressions() > 0;
-    let mem_failed = mem_gate_pct.is_some() && outcome.mem_regressions() > 0;
-    Ok(i32::from(time_failed || mem_failed))
+    Ok(0)
 }
 
 /// Runs `tsv3d trace`.
@@ -1067,20 +1007,42 @@ fn run_history(args: &Args) -> Result<i32, Fail> {
         }
         return Ok(0);
     }
-    let reports = analytics::detect(&ledger, detect_pct);
+    let reports = if gate_detect {
+        match analytics::gate(&ledger, detect_pct) {
+            Ok(reports) => reports,
+            Err(bad) => {
+                // A corrupt row silently disabling the gate is worse
+                // than a failing gate: treat it as a usage error.
+                eprintln!(
+                    "error: BAD-BASELINE: non-positive median_ns among the gated records of {}; \
+                     fix or drop those ledger lines",
+                    bad.join(", ")
+                );
+                return Ok(2);
+            }
+        }
+    } else {
+        analytics::detect(&ledger, detect_pct)
+    };
     if json_format {
         println!("{}", analytics::render_json(&reports, &ledger, detect_pct));
     } else {
+        if gate_detect {
+            println!(
+                "gate: each series' newest record vs. up to {} records before it",
+                analytics::WINDOW_CAP
+            );
+        }
         print!("{}", analytics::render_table(&reports, detect_pct));
     }
     let regressed: Vec<String> = reports
         .iter()
         .filter(|r| r.regressed())
-        .map(|r| format!("{}/{}", r.kind, r.case))
+        .map(analytics::CaseVerdicts::label)
         .collect();
     if gate_detect && !regressed.is_empty() {
         return Err(Fail::Runtime(format!(
-            "{} case(s) show a regression changepoint: {}",
+            "{} series' newest record is a regression changepoint: {}",
             regressed.len(),
             regressed.join(", ")
         )));
@@ -1534,11 +1496,8 @@ mod tests {
         for bad in [
             vec!["--iters"],
             vec!["--iters", "0"],
+            // The baseline gate's options are gone: the ledger gates.
             vec!["--gate", "5"],
-            vec!["--gate", "-1", "--baseline", "x"],
-            vec!["--gate-mem", "5"],
-            vec!["--gate-mem", "-1", "--baseline", "x"],
-            vec!["--gate-mem", "nan", "--baseline", "x"],
             vec!["--threads"],
             vec!["--threads", "two"],
             vec!["--frobnicate"],
@@ -1550,18 +1509,16 @@ mod tests {
     #[test]
     fn gated_run_against_a_zeroed_baseline_is_a_usage_error() {
         let dir = std::env::temp_dir().join(format!("tsv3d_bench_cli_gate_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let baseline = dir.join("zeroed_baseline.json");
-        std::fs::write(
-            &baseline,
-            "{\"schema\":\"tsv3d-bench-baseline/v1\",\"cases\":\
-             [{\"case\":\"gray_encode_w16_4k\",\"median_ns\":0,\"p95_ns\":0}]}\n",
-        )
-        .unwrap();
+        let ledger = dir.join("history.jsonl");
+        let zeroed = "{\"schema\":\"tsv3d-history/v1\",\"kind\":\"bench\",\
+                      \"case\":\"gray_encode_w16_4k\",\"git_rev\":\"r\",\
+                      \"unix_time_s\":1,\"median_ns\":0,\"threads\":4}\n";
+        std::fs::write(&ledger, zeroed.repeat(5)).unwrap();
         let out_dir = dir.join("out");
-        let args = [
+        let bench = [
             "--quick",
-            "--no-history",
             "--warmup",
             "0",
             "--iters",
@@ -1570,14 +1527,18 @@ mod tests {
             "gray_encode_w16_4k",
             "--out-dir",
             out_dir.to_str().unwrap(),
-            "--baseline",
-            baseline.to_str().unwrap(),
-            "--gate",
-            "25",
+            "--history",
+            ledger.to_str().unwrap(),
         ];
-        assert_eq!(run("bench", &args), 2, "zeroed baseline must exit 2");
-        // Without --gate the same comparison is informational only.
-        assert_eq!(run("bench", &args[..args.len() - 2]), 0);
+        assert_eq!(run("bench", &bench), 0);
+        let path = ledger.to_str().unwrap();
+        assert_eq!(
+            run("history", &[path, "--gate-detect"]),
+            2,
+            "zeroed window must exit 2"
+        );
+        // Without the gate the same ledger is history only.
+        assert_eq!(run("history", &[path, "--detect"]), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

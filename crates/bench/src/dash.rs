@@ -97,6 +97,17 @@ pub struct BenchRow {
     pub git_rev: Option<String>,
     /// Timestamp the artifact was stamped with, when present.
     pub unix_time_s: Option<u64>,
+    /// `--threads` the artifact was measured at, when stamped; picks
+    /// the ledger series its trend comes from.
+    pub threads: Option<u64>,
+}
+
+impl BenchRow {
+    /// Whether the ledger series `(kind, case, threads)` is this
+    /// artifact's (any thread count, for artifacts without one).
+    fn is_series(&self, kind: &str, case: &str, threads: u64) -> bool {
+        kind == "bench" && case == self.case && self.threads.is_none_or(|t| t == threads)
+    }
 }
 
 /// One rendered SVG section.
@@ -142,7 +153,7 @@ pub struct DashData {
     pub detect_pct: f64,
     /// Trailing-window trend rows (informational, no gate).
     pub trends: Vec<TrendRow>,
-    /// Changepoint verdicts per `(kind, case)`.
+    /// Changepoint verdicts per series (`(kind, case, threads)`).
     pub verdicts: Vec<CaseVerdicts>,
     /// Flamegraph section, when a trace was supplied.
     pub flamegraph: Option<Section>,
@@ -174,6 +185,7 @@ fn parse_bench_file(file: &str, text: &str) -> Result<BenchRow, String> {
             .and_then(|v| v.as_str())
             .map(str::to_string),
         unix_time_s: value.get("unix_time_s").and_then(|v| v.as_u64()),
+        threads: value.get("threads").and_then(|v| v.as_u64()),
     })
 }
 
@@ -490,16 +502,16 @@ pub fn render_html(data: &DashData) -> String {
              <th>&Delta; vs window</th></tr>\n",
         );
         for row in &data.bench {
-            let key = ("bench".to_string(), row.case.clone());
             let medians: Vec<f64> = groups
-                .get(&key)
-                .map(|records| records.iter().map(|r| r.median_ns).collect())
+                .iter()
+                .find(|((kind, case, threads), _)| row.is_series(kind, case, *threads))
+                .map(|(_, records)| records.iter().map(|r| r.median_ns).collect())
                 .unwrap_or_default();
             let spark = sparkline(&medians, 140.0, 26.0, &spark_color(&row.case));
             let trend = data
                 .trends
                 .iter()
-                .find(|t| t.kind == "bench" && t.case == row.case);
+                .find(|t| row.is_series(&t.kind, &t.case, t.latest.threads));
             let delta = trend.map_or_else(
                 || "-".to_string(),
                 |t| match t.status {
@@ -529,15 +541,17 @@ pub fn render_html(data: &DashData) -> String {
         out.push_str("<p class=\"meta\">no ledger records to analyze</p>\n");
     } else {
         out.push_str(
-            "<table>\n<tr><th>kind</th><th>case</th><th>runs</th>\
+            "<table>\n<tr><th>kind</th><th>case</th><th>threads</th><th>runs</th>\
              <th>wall time</th><th>alloc/iter</th></tr>\n",
         );
         for v in &data.verdicts {
             let _ = writeln!(
                 out,
-                "<tr><td>{}</td><td>{}</td><td class=\"num\">{}</td>{}{}</tr>",
+                "<tr><td>{}</td><td>{}</td><td class=\"num\">{}</td>\
+                 <td class=\"num\">{}</td>{}{}</tr>",
                 xml_escape(&v.kind),
                 xml_escape(&v.case),
+                v.threads,
                 v.runs,
                 verdict_cell(&v.wall),
                 verdict_cell(&v.alloc),

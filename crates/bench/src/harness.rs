@@ -111,7 +111,7 @@ pub struct MemStats {
     /// Bytes requested across all timed iterations.
     pub alloc_bytes: u64,
     /// Median of the per-iteration requested-bytes samples — the
-    /// stable quantity `--gate-mem` compares across runs.
+    /// stable quantity the ledger gate compares across runs.
     pub median_iter_bytes: u64,
     /// Live-bytes high-water mark reached during the timed loop
     /// (rebased at loop start, so it is per-case, not cumulative).

@@ -6,8 +6,9 @@
 //! and every experiment `run.done` appends a compact summary row
 //! (git revision, case, median/p95 wall time, allocated bytes per
 //! iteration, thread count, timestamp), and `tsv3d history` turns the
-//! accumulated file into per-case trend tables. Regressions are gated
-//! by the changepoint detector in [`crate::analytics`].
+//! accumulated file into per-series trend tables. A series is one
+//! `(kind, case, threads)` triple. Regressions are gated by
+//! [`crate::analytics::gate`], which judges each series' newest record.
 //!
 //! Line schema (`tsv3d-history/v1`, one JSON object per line):
 //!
@@ -15,17 +16,19 @@
 //! {"schema":"tsv3d-history/v1","kind":"bench","case":"anneal_quick_3x3",
 //!  "git_rev":"c26e2ca","unix_time_s":1754400000,"median_ns":1200000,
 //!  "p95_ns":1500000,"alloc_bytes_per_iter":4096,"wall_s":2.5,
-//!  "stalls":0,"threads":4}
+//!  "stalls":0,"threads":4,"available_parallelism":2}
 //! ```
 //!
-//! `p95_ns`, `alloc_bytes_per_iter`, `wall_s` and `stalls` are
-//! optional (experiment runs report a single wall time; allocation
-//! data needs the counting allocator; total wall time and the stall
-//! count need a pulse attached). Records written before a field
-//! existed keep parsing — absent means "not measured", and the trend
-//! tables show `-`. The parser follows the same robustness policy as trace
-//! analysis: malformed or truncated lines — the expected failure mode
-//! of an append-only file under crashes — are **skipped and counted**,
+//! `p95_ns`, `alloc_bytes_per_iter`, `wall_s`, `stalls` and
+//! `available_parallelism` are optional (experiment runs report a
+//! single wall time; allocation data needs the counting allocator;
+//! total wall time and the stall count need a pulse attached; the core
+//! count is informational and absent from older rows). Records written
+//! before a field existed keep parsing — absent means "not measured",
+//! and the trend tables show `-`. The parser follows the same
+//! robustness policy as trace analysis: malformed or truncated lines —
+//! the expected failure mode of an append-only file under crashes —
+//! and lines with a non-finite number are **skipped and counted**,
 //! never fatal.
 
 use crate::json::{self, JsonValue, ObjectWriter};
@@ -60,8 +63,12 @@ pub struct HistoryRecord {
     /// Restarts the pulse watchdog flagged stalled at any point
     /// during the run, when a pulse was attached.
     pub stalls: Option<u64>,
-    /// Worker-thread count the run was configured with.
+    /// Worker-thread count the run was configured with (part of the
+    /// series key).
     pub threads: u64,
+    /// `std::thread::available_parallelism` of the measuring machine,
+    /// when recorded. Informational only: not part of the series key.
+    pub available_parallelism: Option<u64>,
 }
 
 impl HistoryRecord {
@@ -87,14 +94,23 @@ impl HistoryRecord {
             w.u64("stalls", stalls);
         }
         w.u64("threads", self.threads);
+        if let Some(cores) = self.available_parallelism {
+            w.u64("available_parallelism", cores);
+        }
         w.finish()
     }
 
     /// Parses one ledger line. `None` for anything unusable: invalid
-    /// JSON, a foreign schema tag, or missing required fields.
+    /// JSON, a foreign schema tag, missing required fields, or a
+    /// non-finite number (`1e400` parses as infinity).
     pub fn parse_line(line: &str) -> Option<Self> {
         let value = json::parse(line).ok()?;
-        if value.get("schema")?.as_str()? != HISTORY_SCHEMA {
+        if value.get("schema")?.as_str()? != HISTORY_SCHEMA
+            || value
+                .as_object()?
+                .values()
+                .any(|v| v.as_f64().is_some_and(|x| !x.is_finite()))
+        {
             return None;
         }
         Some(Self {
@@ -110,6 +126,9 @@ impl HistoryRecord {
             wall_s: value.get("wall_s").and_then(JsonValue::as_f64),
             stalls: value.get("stalls").and_then(JsonValue::as_u64),
             threads: value.get("threads").and_then(JsonValue::as_u64).unwrap_or(1),
+            available_parallelism: value
+                .get("available_parallelism")
+                .and_then(JsonValue::as_u64),
         })
     }
 }
@@ -168,7 +187,7 @@ pub fn append(path: &Path, records: &[HistoryRecord]) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Trend verdict for one `(kind, case)` group.
+/// Trend verdict for one series.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrendStatus {
     /// Latest median compared against a full window.
@@ -180,8 +199,8 @@ pub enum TrendStatus {
 /// Minimum prior records required before a trend verdict is made.
 pub const MIN_WINDOW: usize = 2;
 
-/// Per-`(kind, case)` trend summary: the latest record against the
-/// median of up to `window` records before it.
+/// Per-series trend summary: the latest record against the median of
+/// up to `window` records before it.
 #[derive(Debug, Clone)]
 pub struct TrendRow {
     /// Record kind (`bench` / `run`).
@@ -202,8 +221,9 @@ pub struct TrendRow {
     pub status: TrendStatus,
 }
 
-fn median_of(mut values: Vec<f64>) -> f64 {
-    values.sort_by(|a, b| a.partial_cmp(b).expect("finite medians"));
+/// The median of a non-empty slice (sorted in place).
+pub(crate) fn median_of(values: &mut [f64]) -> f64 {
+    values.sort_by(f64::total_cmp);
     let n = values.len();
     if n % 2 == 1 {
         values[n / 2]
@@ -212,26 +232,30 @@ fn median_of(mut values: Vec<f64>) -> f64 {
     }
 }
 
-/// Groups ledger records by `(kind, case)`, preserving append order
-/// within each group. The `BTreeMap` keying gives every consumer
-/// (trend rows, changepoint analytics, dashboard sparklines) the same
-/// stable group ordering.
+/// A series key: `(kind, case, threads)`. Runs at different
+/// `--threads` never share a window.
+pub type SeriesKey = (String, String, u64);
+
+/// Groups ledger records into series, preserving append order within
+/// each. The `BTreeMap` keying gives every consumer (trend rows,
+/// changepoint analytics, dashboard sparklines) the same stable series
+/// ordering.
 pub fn group_records(
     ledger: &Ledger,
-) -> std::collections::BTreeMap<(String, String), Vec<&HistoryRecord>> {
-    let mut groups: std::collections::BTreeMap<(String, String), Vec<&HistoryRecord>> =
+) -> std::collections::BTreeMap<SeriesKey, Vec<&HistoryRecord>> {
+    let mut groups: std::collections::BTreeMap<SeriesKey, Vec<&HistoryRecord>> =
         std::collections::BTreeMap::new();
     for record in &ledger.records {
         groups
-            .entry((record.kind.clone(), record.case.clone()))
+            .entry((record.kind.clone(), record.case.clone(), record.threads))
             .or_default()
             .push(record);
     }
     groups
 }
 
-/// Analyzes a ledger into per-group trend rows, sorted by
-/// `(kind, case)` for stable output.
+/// Analyzes a ledger into per-series trend rows, sorted by
+/// [`SeriesKey`] for stable output.
 ///
 /// For each group the **latest** record (file order = append order) is
 /// compared against the median of up to `window` records immediately
@@ -240,7 +264,7 @@ pub fn group_records(
 pub fn analyze(ledger: &Ledger, window: usize) -> Vec<TrendRow> {
     let groups = group_records(ledger);
     let mut rows = Vec::with_capacity(groups.len());
-    for ((kind, case), records) in groups {
+    for ((kind, case, _), records) in groups {
         let latest = records.last().expect("group is non-empty");
         let prior = &records[..records.len() - 1];
         if prior.len() < MIN_WINDOW {
@@ -256,7 +280,7 @@ pub fn analyze(ledger: &Ledger, window: usize) -> Vec<TrendRow> {
             continue;
         }
         let tail = &prior[prior.len().saturating_sub(window)..];
-        let window_median = median_of(tail.iter().map(|r| r.median_ns).collect());
+        let window_median = median_of(&mut tail.iter().map(|r| r.median_ns).collect::<Vec<_>>());
         let delta_pct = if window_median > 0.0 {
             (latest.median_ns - window_median) / window_median * 100.0
         } else {
@@ -285,8 +309,17 @@ pub fn render_table(rows: &[TrendRow], window: usize) -> String {
     }
     let _ = writeln!(
         out,
-        "{:<5} {:<32} {:>5} {:>14} {:>14} {:>9} {:>8} {:>6}  trend(vs last {})",
-        "kind", "case", "runs", "latest ns", "window ns", "delta", "wall s", "stalls", window
+        "{:<5} {:<32} {:>3} {:>5} {:>14} {:>14} {:>9} {:>8} {:>6}  trend(vs last {})",
+        "kind",
+        "case",
+        "thr",
+        "runs",
+        "latest ns",
+        "window ns",
+        "delta",
+        "wall s",
+        "stalls",
+        window
     );
     for row in rows {
         let (window_text, delta_text, verdict) = match row.status {
@@ -311,9 +344,17 @@ pub fn render_table(rows: &[TrendRow], window: usize) -> String {
             .map_or_else(|| "-".to_string(), |s| s.to_string());
         let _ = writeln!(
             out,
-            "{:<5} {:<32} {:>5} {:>14.0} {:>14} {:>9} {:>8} {:>6}  {}",
-            row.kind, row.case, row.runs, row.latest.median_ns, window_text,
-            delta_text, wall_text, stalls_text, verdict
+            "{:<5} {:<32} {:>3} {:>5} {:>14.0} {:>14} {:>9} {:>8} {:>6}  {}",
+            row.kind,
+            row.case,
+            row.latest.threads,
+            row.runs,
+            row.latest.median_ns,
+            window_text,
+            delta_text,
+            wall_text,
+            stalls_text,
+            verdict
         );
     }
     out
@@ -328,6 +369,7 @@ pub fn render_json(rows: &[TrendRow], ledger: &Ledger, window: usize) -> String 
             let mut w = ObjectWriter::new();
             w.str("kind", &row.kind)
                 .str("case", &row.case)
+                .u64("threads", row.latest.threads)
                 .u64("runs", row.runs as u64)
                 .f64("latest_median_ns", row.latest.median_ns)
                 .str("git_rev", &row.latest.git_rev)
@@ -387,6 +429,7 @@ mod tests {
             wall_s: Some(2.5),
             stalls: Some(0),
             threads: 4,
+            available_parallelism: Some(2),
         }
     }
 
@@ -410,12 +453,14 @@ mod tests {
             wall_s: None,
             stalls: None,
             threads: 1,
+            available_parallelism: None,
         };
         let line = original.to_json_line();
         assert!(!line.contains("p95_ns"), "{line}");
         assert!(!line.contains("alloc_bytes_per_iter"), "{line}");
         assert!(!line.contains("wall_s"), "{line}");
         assert!(!line.contains("stalls"), "{line}");
+        assert!(!line.contains("available_parallelism"), "{line}");
         assert_eq!(HistoryRecord::parse_line(&line).unwrap(), original);
     }
 
@@ -430,6 +475,7 @@ mod tests {
         let parsed = HistoryRecord::parse_line(line).expect("old records parse");
         assert_eq!(parsed.wall_s, None);
         assert_eq!(parsed.stalls, None);
+        assert_eq!(parsed.available_parallelism, None);
         assert_eq!(parsed.median_ns, 1.2e6);
         // And the trend table shows `-` for the unmeasured columns.
         let mut ledger = Ledger::default();
@@ -467,6 +513,31 @@ mod tests {
         // Truncated mid-object — the crash-mid-append shape.
         let full = record("x", 1, 10.0).to_json_line();
         assert!(HistoryRecord::parse_line(&full[..full.len() / 2]).is_none());
+    }
+
+    #[test]
+    fn non_finite_numbers_make_a_line_malformed() {
+        let line = |median: &str, p95: &str, threads: &str| {
+            format!(
+                "{{\"schema\":\"tsv3d-history/v1\",\"kind\":\"bench\",\"case\":\"x\",\
+                 \"git_rev\":\"r\",\"unix_time_s\":1,\"median_ns\":{median},\
+                 \"p95_ns\":{p95},\"threads\":{threads}}}"
+            )
+        };
+        assert!(HistoryRecord::parse_line(&line("10", "12", "4")).is_some());
+        for bad in [
+            line("1e400", "12", "4"),
+            line("10", "-1e400", "4"),
+            line("10", "12", "1e999"),
+        ] {
+            assert!(HistoryRecord::parse_line(&bad).is_none(), "{bad}");
+        }
+        let text = format!("{}\n{}\n", line("10", "12", "4"), line("1e400", "12", "4"));
+        let ledger = parse_ledger(&text);
+        assert_eq!(
+            (ledger.lines, ledger.records.len(), ledger.skipped),
+            (2, 1, 1)
+        );
     }
 
     #[test]
@@ -572,6 +643,26 @@ mod tests {
         assert_eq!(rows.len(), 2, "bench and run groups stay separate");
         assert_eq!(rows[0].kind, "bench");
         assert_eq!(rows[1].kind, "run");
+    }
+
+    #[test]
+    fn thread_counts_split_a_case_into_series() {
+        let mut ledger = Ledger::default();
+        for t in 1..=3 {
+            ledger.records.push(record("pool", t, 100.0));
+            let mut two = record("pool", t, 300.0);
+            two.threads = 2;
+            two.available_parallelism = Some(8);
+            ledger.records.push(two);
+        }
+        let rows = analyze(&ledger, 5);
+        assert_eq!(rows.len(), 2, "threads 2 and 4 never share a window");
+        assert_eq!((rows[0].latest.threads, rows[0].delta_pct), (2, Some(0.0)));
+        assert_eq!((rows[1].latest.threads, rows[1].delta_pct), (4, Some(0.0)));
+        // The core count is informational: it never splits a series.
+        assert_eq!(group_records(&ledger).len(), 2);
+        let table = render_table(&rows, 5);
+        assert!(table.contains(" thr "), "{table}");
     }
 
     #[test]

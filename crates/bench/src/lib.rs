@@ -10,20 +10,18 @@
 //!   the MNA transient engine (LU factor, backward-Euler stepping,
 //!   full link simulation) and the reference codec encode loops. Each
 //!   case produces a machine-readable `BENCH_<case>.json` ([`report`],
-//!   schema `tsv3d-bench/v1`) with median/p95/stddev wall times, the
-//!   telemetry counters the workload accumulated, the git revision and
-//!   a timestamp.
+//!   schema `tsv3d-bench/v2`) with median/p95/stddev wall times, the
+//!   telemetry counters the workload accumulated, allocation stats,
+//!   the git revision, a timestamp, `--threads` and the core count.
 //! * [`trace`] — a robust reader/aggregator for the `*_telemetry.jsonl`
 //!   streams the [`tsv3d_telemetry`] `JsonLinesSink` writes: per-span
 //!   rollups (count, total/self time, log2-histogram percentiles) and
 //!   a flamegraph-style collapsed-stack export, reconstructing span
 //!   nesting from interval containment.
-//! * [`gate`] — median-vs-baseline comparison with a percentage
-//!   threshold, so CI can detect hot-path regressions PR-over-PR.
 //! * [`history`] — the cross-run ledger (`results/history.jsonl`,
 //!   schema `tsv3d-history/v1`): every bench invocation and experiment
 //!   run appends a compact summary row, and `tsv3d history` renders
-//!   per-case trailing-window trends.
+//!   per-series trailing-window trends.
 //! * [`flamegraph`] — deterministic, self-contained flamegraph SVGs
 //!   from the collapsed-stack output (`tsv3d trace --svg`), time- or
 //!   bytes-weighted.
@@ -35,11 +33,12 @@
 //!   contribution tables from [`tsv3d_core::attribution`], array
 //!   heatmap SVGs, and assignment `--compare` diff reports showing
 //!   where an optimised assignment's savings come from.
-//! * [`analytics`] — cross-run changepoint detection over the ledger
-//!   (`tsv3d history --detect`): a sliding two-window median split
-//!   with a rank-based significance guard, yielding per-case
-//!   steady / improved@rev / regressed@rev verdicts and a CI gate
-//!   (`--gate-detect`).
+//! * [`analytics`] — changepoint detection over the ledger and the
+//!   one regression gate: a two-window median split with a rank-based
+//!   significance guard. `tsv3d history --detect` shows each series'
+//!   history as steady / improved@rev / regressed@rev;
+//!   `--gate-detect` judges each series' newest record against the
+//!   records before it, which is what CI gates on.
 //! * [`dash`] — the unified observability dashboard (`tsv3d dash`):
 //!   one self-contained, byte-deterministic HTML page (and a
 //!   `tsv3d-dash/v1` JSON index) fusing bench artifacts, ledger
@@ -59,9 +58,6 @@
 //! user-facing entry points are the `tsv3d` observability subcommands
 //! (`bench` through `dash`), one table-driven [`cli::dispatch`] hosted
 //! by the multiplexer binary in `tsv3d-experiments`.
-//!
-//! The `benches/` directory additionally keeps the Criterion-shim
-//! benches that regenerate the paper's figures (`cargo bench`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -72,7 +68,6 @@ pub mod converge;
 pub mod dash;
 pub mod explain;
 pub mod flamegraph;
-pub mod gate;
 pub mod harness;
 pub mod history;
 pub mod json;

@@ -1,5 +1,5 @@
 //! `BENCH_<case>.json` artifacts: the machine-readable output of one
-//! measured case, plus the combined baseline file CI diffs against.
+//! measured case.
 //!
 //! Schema (`tsv3d-bench/v2`):
 //!
@@ -17,20 +17,19 @@
 //!   "mem": {"alloc_count": 0, "dealloc_count": 0, "realloc_count": 0,
 //!           "alloc_bytes": 0, "median_iter_bytes": 0, "peak_bytes": 0},
 //!   "git_rev": "3e0d804",
-//!   "unix_time_s": 1754400000
+//!   "unix_time_s": 1754400000,
+//!   "threads": 4,
+//!   "available_parallelism": 2
 //! }
 //! ```
 //!
 //! v2 over v1: the optional `mem` object (absent when the measuring
 //! binary lacks the counting allocator) and a `stddev` of `null` for
-//! single-iteration runs. The parser stays **backward compatible with
-//! v1**: `mem` is optional on the read side and the schema tag is not
-//! used for dispatch, so v1 artifacts and baselines keep gating.
-//!
-//! The baseline file (`tsv3d-bench-baseline/v2`) carries one
-//! `{case, median_ns, p95_ns, alloc_bytes_per_iter}` row per case
-//! (the last field absent for cases without memory stats);
-//! [`crate::gate`] accepts either format on the `--baseline` side.
+//! single-iteration runs. `threads` (the `--threads` the run was given)
+//! and `available_parallelism` (the machine's core count) came later
+//! within v2 and are absent from older artifacts. The reader stays
+//! **backward compatible with v1**: every later field is optional on
+//! the read side and the schema tag is not used for dispatch.
 
 use crate::harness::Measurement;
 use crate::json::{self, JsonValue, ObjectWriter};
@@ -38,8 +37,6 @@ use std::time::{SystemTime, UNIX_EPOCH};
 
 /// Schema tag of a per-case artifact.
 pub const CASE_SCHEMA: &str = "tsv3d-bench/v2";
-/// Schema tag of a combined baseline file.
-pub const BASELINE_SCHEMA: &str = "tsv3d-bench-baseline/v2";
 
 /// One measurement stamped with provenance, ready to serialise.
 #[derive(Debug, Clone)]
@@ -50,15 +47,22 @@ pub struct BenchReport {
     pub git_rev: String,
     /// Seconds since the Unix epoch when the report was stamped.
     pub unix_time_s: u64,
+    /// Worker-thread count the run was configured with.
+    pub threads: u64,
+    /// The machine's core count, when the platform reports one.
+    pub available_parallelism: Option<u64>,
 }
 
 impl BenchReport {
-    /// Stamps a measurement with the current revision and time.
-    pub fn stamp(measurement: Measurement) -> Self {
+    /// Stamps a measurement taken at `threads` with the current
+    /// revision, time and core count.
+    pub fn stamp(measurement: Measurement, threads: u64) -> Self {
         Self {
             measurement,
             git_rev: git_rev(),
             unix_time_s: unix_time_s(),
+            threads,
+            available_parallelism: available_parallelism(),
         }
     }
 
@@ -111,104 +115,42 @@ impl BenchReport {
             w.raw("mem", &mw.finish());
         }
         w.str("git_rev", &self.git_rev)
-            .u64("unix_time_s", self.unix_time_s);
+            .u64("unix_time_s", self.unix_time_s)
+            .u64("threads", self.threads);
+        if let Some(cores) = self.available_parallelism {
+            w.u64("available_parallelism", cores);
+        }
         w.finish()
     }
 }
 
-/// The per-case row both artifact formats reduce to for comparisons.
+/// The per-case summary an artifact reduces to.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CaseSummary {
     /// Case name.
     pub case: String,
     /// Median iteration wall time, ns.
     pub median_ns: f64,
-    /// p95 iteration wall time, ns (absent in minimal baselines).
+    /// p95 iteration wall time, ns.
     pub p95_ns: Option<f64>,
-    /// Median per-iteration allocated bytes — the `--gate-mem`
-    /// comparand. Absent in v1 artifacts and for cases measured
-    /// without a counting allocator.
+    /// Median per-iteration allocated bytes. Absent in v1 artifacts
+    /// and for cases measured without a counting allocator.
     pub mem_bytes: Option<f64>,
 }
 
-/// Extracts a [`CaseSummary`] from a parsed artifact of either schema
-/// version (per-case file, or one row of a baseline file).
+/// Extracts a [`CaseSummary`] from a parsed per-case artifact of
+/// either schema version; `None` when it is not one.
 pub fn case_summary(value: &JsonValue) -> Option<CaseSummary> {
-    let case = value.get("case")?.as_str()?.to_string();
-    if let Some(wall) = value.get("wall_ns") {
-        // Per-case artifact: stats live under `wall_ns`.
-        Some(CaseSummary {
-            case,
-            median_ns: wall.get("median")?.as_f64()?,
-            p95_ns: wall.get("p95").and_then(JsonValue::as_f64),
-            mem_bytes: value
-                .get("mem")
-                .and_then(|m| m.get("median_iter_bytes"))
-                .and_then(JsonValue::as_f64),
-        })
-    } else {
-        // Baseline row: flat fields.
-        Some(CaseSummary {
-            case,
-            median_ns: value.get("median_ns")?.as_f64()?,
-            p95_ns: value.get("p95_ns").and_then(JsonValue::as_f64),
-            mem_bytes: value
-                .get("alloc_bytes_per_iter")
-                .and_then(JsonValue::as_f64),
-        })
-    }
-}
-
-/// Serialises the combined `tsv3d-bench-baseline/v2` document.
-pub fn baseline_to_json(reports: &[BenchReport]) -> String {
-    let rows: Vec<String> = reports
-        .iter()
-        .map(|r| {
-            let mut w = ObjectWriter::new();
-            w.str("case", &r.measurement.case)
-                .u64("median_ns", r.measurement.wall.median_ns)
-                .u64("p95_ns", r.measurement.wall.p95_ns);
-            if let Some(mem) = &r.measurement.mem {
-                w.u64("alloc_bytes_per_iter", mem.median_iter_bytes);
-            }
-            w.finish()
-        })
-        .collect();
-    let mut w = ObjectWriter::new();
-    w.str("schema", BASELINE_SCHEMA)
-        .str("git_rev", reports.first().map_or("unknown", |r| r.git_rev.as_str()))
-        .u64(
-            "unix_time_s",
-            reports.first().map_or_else(unix_time_s, |r| r.unix_time_s),
-        )
-        .raw("cases", &format!("[{}]", rows.join(",")));
-    w.finish()
-}
-
-/// Parses any artifact (baseline file or single per-case file) into
-/// its case rows.
-///
-/// # Errors
-///
-/// A human-readable message when the text is not valid JSON or matches
-/// neither schema.
-pub fn parse_summaries(text: &str) -> Result<Vec<CaseSummary>, String> {
-    let value = json::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
-    if let Some(rows) = value.get("cases").and_then(JsonValue::as_array) {
-        let summaries: Vec<CaseSummary> =
-            rows.iter().filter_map(case_summary).collect();
-        if summaries.is_empty() {
-            return Err("baseline file contains no readable case rows".to_string());
-        }
-        return Ok(summaries);
-    }
-    match case_summary(&value) {
-        Some(s) => Ok(vec![s]),
-        None => Err(
-            "not a tsv3d-bench artifact (expected `cases` array or `case` + stats fields)"
-                .to_string(),
-        ),
-    }
+    let wall = value.get("wall_ns")?;
+    Some(CaseSummary {
+        case: value.get("case")?.as_str()?.to_string(),
+        median_ns: wall.get("median")?.as_f64()?,
+        p95_ns: wall.get("p95").and_then(JsonValue::as_f64),
+        mem_bytes: value
+            .get("mem")
+            .and_then(|m| m.get("median_iter_bytes"))
+            .and_then(JsonValue::as_f64),
+    })
 }
 
 /// The abbreviated git revision of the working tree.
@@ -237,6 +179,13 @@ fn unix_time_s() -> u64 {
     SystemTime::now()
         .duration_since(UNIX_EPOCH)
         .map_or(0, |d| d.as_secs())
+}
+
+/// `std::thread::available_parallelism`, when the platform reports it.
+pub fn available_parallelism() -> Option<u64> {
+    std::thread::available_parallelism()
+        .ok()
+        .map(|n| n.get() as u64)
 }
 
 #[cfg(test)]
@@ -273,13 +222,23 @@ mod tests {
         m
     }
 
-    #[test]
-    fn report_json_round_trips_through_the_parser() {
-        let report = BenchReport {
-            measurement: fake_measurement("demo_case", 1234),
+    fn report(measurement: Measurement) -> BenchReport {
+        BenchReport {
+            measurement,
             git_rev: "abc1234".to_string(),
             unix_time_s: 1_754_400_000,
-        };
+            threads: 4,
+            available_parallelism: Some(2),
+        }
+    }
+
+    fn summary_of(text: &str) -> Option<CaseSummary> {
+        case_summary(&json::parse(text).ok()?)
+    }
+
+    #[test]
+    fn report_json_round_trips_through_the_parser() {
+        let report = report(fake_measurement("demo_case", 1234));
         assert_eq!(report.filename(), "BENCH_demo_case.json");
         let text = report.to_json();
         let value = json::parse(&text).unwrap();
@@ -291,6 +250,13 @@ mod tests {
         assert_eq!(
             value.get("git_rev").and_then(JsonValue::as_str),
             Some("abc1234")
+        );
+        assert_eq!(value.get("threads").and_then(JsonValue::as_u64), Some(4));
+        assert_eq!(
+            value
+                .get("available_parallelism")
+                .and_then(JsonValue::as_u64),
+            Some(2)
         );
         let summary = case_summary(&value).unwrap();
         assert_eq!(summary.case, "demo_case");
@@ -306,49 +272,24 @@ mod tests {
     }
 
     #[test]
-    fn baseline_json_parses_back_to_rows() {
-        let reports = vec![
-            BenchReport {
-                measurement: fake_measurement("a", 100),
-                git_rev: "r1".to_string(),
-                unix_time_s: 5,
-            },
-            BenchReport {
-                measurement: fake_measurement("b", 200),
-                git_rev: "r1".to_string(),
-                unix_time_s: 5,
-            },
-        ];
-        let text = baseline_to_json(&reports);
-        let rows = parse_summaries(&text).unwrap();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].case, "a");
-        assert_eq!(rows[1].median_ns, 200.0);
-    }
-
-    #[test]
     fn single_case_artifact_parses_as_one_row() {
-        let report = BenchReport {
-            measurement: fake_measurement("solo", 50),
-            git_rev: "r".to_string(),
-            unix_time_s: 1,
-        };
-        let rows = parse_summaries(&report.to_json()).unwrap();
-        assert_eq!(rows, vec![CaseSummary {
+        let mut report = report(fake_measurement("solo", 50));
+        report.available_parallelism = None;
+        let text = report.to_json();
+        assert!(!text.contains("available_parallelism"), "{text}");
+        assert_eq!(summary_of(&text), Some(CaseSummary {
             case: "solo".to_string(),
             median_ns: 50.0,
             p95_ns: Some(50.0),
             mem_bytes: None,
-        }]);
+        }));
     }
 
     #[test]
     fn mem_stats_round_trip_through_artifact_and_baseline() {
-        let report = BenchReport {
-            measurement: fake_measurement_with_mem("memy", 80, 4096),
-            git_rev: "r".to_string(),
-            unix_time_s: 1,
-        };
+        // The artifact's mem object, and the ledger row the gate judges
+        // against (its baseline), carry the same bytes per iteration.
+        let report = report(fake_measurement_with_mem("memy", 80, 4096));
         let value = json::parse(&report.to_json()).unwrap();
         let mem = value.get("mem").expect("mem object present");
         assert_eq!(
@@ -362,67 +303,70 @@ mod tests {
         let summary = case_summary(&value).unwrap();
         assert_eq!(summary.mem_bytes, Some(4096.0));
 
-        let baseline = baseline_to_json(&[report]);
-        let rows = parse_summaries(&baseline).unwrap();
-        assert_eq!(rows[0].mem_bytes, Some(4096.0));
-        assert_eq!(rows[0].median_ns, 80.0);
+        let row = crate::history::HistoryRecord {
+            kind: "bench".to_string(),
+            case: summary.case,
+            git_rev: report.git_rev.clone(),
+            unix_time_s: report.unix_time_s,
+            median_ns: summary.median_ns,
+            p95_ns: summary.p95_ns,
+            alloc_bytes_per_iter: summary.mem_bytes,
+            wall_s: None,
+            stalls: None,
+            threads: report.threads,
+            available_parallelism: report.available_parallelism,
+        };
+        let parsed = crate::history::HistoryRecord::parse_line(&row.to_json_line()).unwrap();
+        assert_eq!(parsed.alloc_bytes_per_iter, Some(4096.0));
+        assert_eq!(parsed.median_ns, 80.0);
     }
 
     #[test]
     fn v1_artifacts_without_mem_still_parse() {
-        // A hand-written v1 per-case artifact and baseline: no `mem`
-        // object, no `alloc_bytes_per_iter`, numeric stddev.
+        // A hand-written v1 per-case artifact: no `mem` object, no
+        // `threads`, numeric stddev.
         let case_v1 = r#"{"schema":"tsv3d-bench/v1","case":"old","area":"core",
             "iters":3,"warmup_iters":1,
             "wall_ns":{"median":100,"p95":120,"mean":105.0,"stddev":2.5,
                        "min":90,"max":120},
             "samples_ns":[100,100,120],"counters":{},
             "git_rev":"deadbee","unix_time_s":1}"#;
-        let rows = parse_summaries(case_v1).unwrap();
-        assert_eq!(rows[0].case, "old");
-        assert_eq!(rows[0].median_ns, 100.0);
-        assert_eq!(rows[0].mem_bytes, None);
-
-        let baseline_v1 = r#"{"schema":"tsv3d-bench-baseline/v1","git_rev":"x",
-            "unix_time_s":1,
-            "cases":[{"case":"a","median_ns":10,"p95_ns":12}]}"#;
-        let rows = parse_summaries(baseline_v1).unwrap();
-        assert_eq!(rows[0].case, "a");
-        assert_eq!(rows[0].mem_bytes, None);
+        let summary = summary_of(case_v1).unwrap();
+        assert_eq!(summary.case, "old");
+        assert_eq!(summary.median_ns, 100.0);
+        assert_eq!(summary.mem_bytes, None);
     }
 
     #[test]
     fn single_iteration_stddev_serialises_as_null() {
         let samples = vec![42u64];
-        let report = BenchReport {
-            measurement: Measurement {
-                case: "one".to_string(),
-                area: "core".to_string(),
-                options: BenchOptions {
-                    warmup_iters: 0,
-                    iters: 1,
-                },
-                wall: WallStats::from_samples(&samples).unwrap(),
-                samples_ns: samples,
-                counters: Vec::new(),
-                mem: None,
+        let report = report(Measurement {
+            case: "one".to_string(),
+            area: "core".to_string(),
+            options: BenchOptions {
+                warmup_iters: 0,
+                iters: 1,
             },
-            git_rev: "r".to_string(),
-            unix_time_s: 1,
-        };
+            wall: WallStats::from_samples(&samples).unwrap(),
+            samples_ns: samples,
+            counters: Vec::new(),
+            mem: None,
+        });
         let text = report.to_json();
         assert!(
             text.contains("\"stddev\":null"),
             "n=1 stddev must be null, got: {text}"
         );
         // And the document still parses into a summary.
-        assert!(parse_summaries(&text).is_ok());
+        assert!(summary_of(&text).is_some());
     }
 
     #[test]
-    fn junk_input_is_rejected_with_a_message() {
-        assert!(parse_summaries("not json").is_err());
-        assert!(parse_summaries("{\"cases\":[]}").is_err());
-        assert!(parse_summaries("{\"x\":1}").is_err());
+    fn junk_input_is_not_a_case_summary() {
+        assert!(summary_of("not json").is_none());
+        assert!(summary_of("{\"cases\":[]}").is_none());
+        assert!(summary_of("{\"x\":1}").is_none());
+        // A flat row without `wall_ns` is not an artifact.
+        assert!(summary_of("{\"case\":\"a\",\"median_ns\":10}").is_none());
     }
 }

@@ -36,7 +36,8 @@ Commands:
   explain   per-TSV power attribution: ranked contribution tables,
             array heatmap SVG, --compare savings diff reports
   history   analyze the cross-run ledger: trend tables, changepoint
-            verdicts (--detect) and their CI gate (--gate-detect)
+            history (--detect) and the regression gate, which judges
+            each series' newest row (--gate-detect)
   serve     HTTP listener: /metrics (Prometheus), /healthz, /runs,
             /progress (live tsv3d-pulse/v1 per-restart progress),
             /dash (live HTML dashboard)

@@ -4,7 +4,7 @@
 //! Each `fig*`/`tab*` module packages one paper artefact as a pure
 //! function from parameters to typed results, shared between the
 //! runnable binaries (`cargo run -p tsv3d-experiments --bin fig2_sequential`
-//! and friends) and the Criterion benches in `tsv3d-bench`:
+//! and friends) and the integration tests:
 //!
 //! | Module | Paper artefact |
 //! |---|---|

@@ -372,6 +372,7 @@ pub fn finish(tel: &TelemetryHandle) {
             wall_s: Some(tel.elapsed_seconds()),
             stalls,
             threads: ctx.threads,
+            available_parallelism: tsv3d_bench::report::available_parallelism(),
         };
         if let Err(err) = history::append(&path, &[record]) {
             eprintln!(

@@ -120,9 +120,24 @@ fn bench_list_names_the_registry() {
 
 #[test]
 fn bench_usage_error_exits_2() {
+    // The baseline gate is gone: the ledger gates through `history`.
     let out = tsv3d(&["bench", "--gate", "5"]);
     assert_eq!(out.status.code(), Some(2));
-    assert!(stderr(&out).contains("--gate requires --baseline"));
+    assert!(
+        stderr(&out).contains("unknown bench option `--gate`"),
+        "{}",
+        stderr(&out)
+    );
+}
+
+/// Five `gray_encode_w16_4k` ledger rows at `median_ns`, threads 4.
+fn gray_rows(median_ns: &str) -> String {
+    format!(
+        "{{\"schema\":\"tsv3d-history/v1\",\"kind\":\"bench\",\
+         \"case\":\"gray_encode_w16_4k\",\"git_rev\":\"base\",\
+         \"unix_time_s\":1,\"median_ns\":{median_ns},\"threads\":4}}\n"
+    )
+    .repeat(5)
 }
 
 #[test]
@@ -131,27 +146,33 @@ fn bench_writes_valid_artifacts_and_gates_against_baselines() {
 
     let dir = scratch("bench");
     let out_dir = dir.join("artifacts");
-    let out = tsv3d(&[
-        "bench",
-        "--case",
-        "gray_encode",
-        "--iters",
-        "3",
-        "--warmup",
-        "1",
-        "--out-dir",
-        out_dir.to_str().unwrap(),
-        "--write-baseline",
-        dir.join("base.json").to_str().unwrap(),
-        "--history",
-        dir.join("history.jsonl").to_str().unwrap(),
-    ]);
+    let bench = |ledger: &PathBuf| {
+        tsv3d(&[
+            "bench",
+            "--case",
+            "gray_encode",
+            "--iters",
+            "3",
+            "--warmup",
+            "1",
+            "--out-dir",
+            out_dir.to_str().unwrap(),
+            "--history",
+            ledger.to_str().unwrap(),
+        ])
+    };
+    let ledger = dir.join("history.jsonl");
+    let out = bench(&ledger);
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
 
     // The run appended a cross-run ledger record alongside artifacts.
-    let ledger = std::fs::read_to_string(dir.join("history.jsonl")).expect("ledger written");
-    assert!(ledger.contains("\"schema\":\"tsv3d-history/v1\""), "{ledger}");
-    assert!(ledger.contains("\"case\":\"gray_encode_w16_4k\""), "{ledger}");
+    let text = std::fs::read_to_string(&ledger).expect("ledger written");
+    assert!(text.contains("\"schema\":\"tsv3d-history/v1\""), "{text}");
+    assert!(text.contains("\"case\":\"gray_encode_w16_4k\""), "{text}");
+    assert!(
+        text.contains("\"threads\":4,\"available_parallelism\":"),
+        "{text}"
+    );
 
     // Artifact exists and matches the documented schema.
     let artifact = out_dir.join("BENCH_gray_encode_w16_4k.json");
@@ -175,53 +196,38 @@ fn bench_writes_valid_artifacts_and_gates_against_baselines() {
     }
     assert!(value.get("git_rev").and_then(JsonValue::as_str).is_some());
     assert!(value.get("unix_time_s").and_then(JsonValue::as_u64).is_some());
+    assert_eq!(value.get("threads").and_then(JsonValue::as_u64), Some(4));
+    assert!(
+        value
+            .get("available_parallelism")
+            .and_then(JsonValue::as_u64)
+            .unwrap_or(0)
+            >= 1
+    );
 
-    // A synthetic regressed baseline (impossibly fast) must fail the
-    // gate; a generous one must pass.
-    let fast = r#"{"cases":[{"case":"gray_encode_w16_4k","median_ns":1}]}"#;
-    std::fs::write(dir.join("fast.json"), fast).unwrap();
-    let out = tsv3d(&[
-        "bench",
-        "--case",
-        "gray_encode",
-        "--iters",
-        "2",
-        "--warmup",
-        "0",
-        "--out-dir",
-        out_dir.to_str().unwrap(),
-        "--baseline",
-        dir.join("fast.json").to_str().unwrap(),
-        "--gate",
-        "10",
-        "--no-history",
-    ]);
-    assert_eq!(out.status.code(), Some(1), "regression must exit nonzero");
-    assert!(stdout(&out).contains("REGRESSED"), "{}", stdout(&out));
-
-    let slow = r#"{"cases":[{"case":"gray_encode_w16_4k","median_ns":900000000000}]}"#;
-    std::fs::write(dir.join("slow.json"), slow).unwrap();
-    let out = tsv3d(&[
-        "bench",
-        "--case",
-        "gray_encode",
-        "--iters",
-        "2",
-        "--warmup",
-        "0",
-        "--out-dir",
-        out_dir.to_str().unwrap(),
-        "--baseline",
-        dir.join("slow.json").to_str().unwrap(),
-        "--gate",
-        "10",
-        "--no-history",
-    ]);
-    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
-
-    // The combined baseline written above is itself a valid gate input.
-    let base = std::fs::read_to_string(dir.join("base.json")).unwrap();
-    assert!(base.contains("tsv3d-bench-baseline/v2"));
+    // Against a synthetic regressed baseline (impossibly fast rows) the
+    // new record fails the ledger gate; against a generous one it
+    // passes.
+    for (median_ns, code) in [("1", 1), ("900000000000", 0)] {
+        let ledger = dir.join(format!("gate_{median_ns}.jsonl"));
+        std::fs::write(&ledger, gray_rows(median_ns)).unwrap();
+        let out = bench(&ledger);
+        assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+        let out = tsv3d(&[
+            "history",
+            ledger.to_str().unwrap(),
+            "--gate-detect",
+            "--detect-pct",
+            "10",
+        ]);
+        assert_eq!(out.status.code(), Some(code), "{}", stdout(&out));
+        assert_eq!(
+            stdout(&out).contains("REGRESSED"),
+            code == 1,
+            "{}",
+            stdout(&out)
+        );
+    }
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -292,3 +292,206 @@ fn usage_errors_exit_2_and_missing_ledger_exits_1() {
     assert_eq!(out.status.code(), Some(1));
     assert!(stderr(&out).contains("cannot read"));
 }
+
+/// Writes `text` to a per-test ledger file and returns its path.
+fn scratch_ledger(tag: &str, text: &str) -> String {
+    let dir = std::env::temp_dir().join(format!("tsv3d_history_{tag}_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir is creatable");
+    let path = dir.join("history.jsonl");
+    std::fs::write(&path, text).expect("ledger is writable");
+    path.to_str().expect("path is UTF-8").to_string()
+}
+
+/// One `case` ledger line at threads 4; `alloc` is the optional
+/// allocation field.
+fn line(case: &str, rev: &str, median_ns: f64, alloc: Option<f64>) -> String {
+    let alloc = alloc.map_or(String::new(), |a| format!("\"alloc_bytes_per_iter\":{a},"));
+    format!(
+        "{{\"schema\":\"tsv3d-history/v1\",\"kind\":\"bench\",\"case\":\"{case}\",\
+         \"git_rev\":\"{rev}\",\"unix_time_s\":1,\"median_ns\":{median_ns},{alloc}\"threads\":4}}\n"
+    )
+}
+
+#[test]
+fn a_new_regression_after_an_old_speed_up_fails_the_gate() {
+    // The committed anneal_large_6x6_serial rows carry the f0aab8e
+    // speed-up, then eight rows settle at its last median. A newest row
+    // at +77 % fails a 75 % gate even though the old speed-up is the
+    // series' strongest changepoint.
+    let base = std::fs::read_to_string(fixture("history_large_anneal.jsonl")).unwrap();
+    let settled = scratch_ledger("large_settled", &base);
+    let out = tsv3d(&["history", &settled, "--gate-detect", "--detect-pct", "75"]);
+    assert_eq!(out.status.code(), Some(0), "stdout: {}", stdout(&out));
+    let out = tsv3d(&["history", &settled, "--detect"]);
+    assert!(
+        stdout(&out).contains("IMPROVED@f0aab8e"),
+        "{}",
+        stdout(&out)
+    );
+
+    let newest = line(
+        "anneal_large_6x6_serial",
+        "9999999",
+        32_985_803.0,
+        Some(7647.0),
+    );
+    let regressed = scratch_ledger("large_regressed", &(base + &newest));
+    let out = tsv3d(&["history", &regressed, "--gate-detect", "--detect-pct", "75"]);
+    assert_eq!(out.status.code(), Some(1), "stdout: {}", stdout(&out));
+    assert!(
+        stdout(&out).contains("REGRESSED@9999999 (+77.0%)"),
+        "{}",
+        stdout(&out)
+    );
+    assert!(
+        stderr(&out).contains("anneal_large_6x6_serial (threads 4)"),
+        "{}",
+        stderr(&out)
+    );
+}
+
+#[test]
+fn the_gate_holds_its_threshold_exactly_on_wall_time_and_alloc() {
+    // Steady windows whose spread (±1 %) is far below each threshold;
+    // the newest record lands exactly at, then just above, it.
+    let walls = [1000.0, 1010.0, 990.0, 1005.0, 995.0, 1000.0, 1002.0, 998.0];
+    for pct in [25.0, 75.0] {
+        for (newest, code) in [
+            (1000.0 * (1.0 + pct / 100.0), 0),
+            (1001.0 * (1.0 + pct / 100.0), 1),
+        ] {
+            let mut text: String = walls
+                .iter()
+                .map(|&w| line("wall_case", "old", w, None))
+                .collect();
+            text.push_str(&line("wall_case", "new", newest, None));
+            let path = scratch_ledger(&format!("wall_{pct}_{code}"), &text);
+            let out = tsv3d(&[
+                "history",
+                &path,
+                "--gate-detect",
+                "--detect-pct",
+                &pct.to_string(),
+            ]);
+            assert_eq!(
+                out.status.code(),
+                Some(code),
+                "{pct}% at {newest}: {}",
+                stdout(&out)
+            );
+        }
+    }
+    let allocs = [
+        4000.0, 4040.0, 3960.0, 4000.0, 4020.0, 3980.0, 4000.0, 4000.0,
+    ];
+    for (newest, code) in [(4800.0, 0), (4801.0, 1)] {
+        let mut text: String = allocs
+            .iter()
+            .map(|&a| line("gray_encode_w16_4k", "old", 1000.0, Some(a)))
+            .collect();
+        text.push_str(&line("gray_encode_w16_4k", "new", 1000.0, Some(newest)));
+        let path = scratch_ledger(&format!("alloc_{code}"), &text);
+        let out = tsv3d(&[
+            "history",
+            &path,
+            "--case",
+            "gray_encode",
+            "--gate-detect",
+            "--detect-pct",
+            "20",
+        ]);
+        assert_eq!(
+            out.status.code(),
+            Some(code),
+            "alloc at {newest}: {}",
+            stdout(&out)
+        );
+    }
+}
+
+#[test]
+fn a_non_positive_median_in_a_gated_window_is_a_bad_baseline() {
+    for bad in [0.0, -5.0] {
+        let mut text: String = (0..6)
+            .map(|_| line("broken_case", "r", 100.0, None))
+            .collect();
+        text.push_str(&line("broken_case", "bad", bad, None));
+        text.push_str(&line("broken_case", "r", 100.0, None));
+        text.push_str(&line("healthy_case", "r", 100.0, None).repeat(6));
+        let path = scratch_ledger("bad_baseline", &text);
+        let out = tsv3d(&["history", &path, "--gate-detect"]);
+        assert_eq!(out.status.code(), Some(2), "stdout: {}", stdout(&out));
+        let err = stderr(&out);
+        assert!(
+            err.contains("BAD-BASELINE") && err.contains("broken_case"),
+            "{err}"
+        );
+        assert!(!err.contains("healthy_case"), "{err}");
+        // History still renders the same ledger.
+        assert_eq!(
+            tsv3d(&["history", &path, "--detect"]).status.code(),
+            Some(0)
+        );
+    }
+    // A zero allocation window is an allocation-free case: the alloc
+    // comparison is skipped, never flagged.
+    let mut text: String = (0..6)
+        .map(|_| line("free_case", "r", 100.0, Some(0.0)))
+        .collect();
+    text.push_str(&line("free_case", "r", 100.0, Some(5000.0)));
+    let path = scratch_ledger("zero_alloc", &text);
+    let out = tsv3d(&["history", &path, "--gate-detect", "--detect-pct", "20"]);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "stdout: {}\nstderr: {}",
+        stdout(&out),
+        stderr(&out)
+    );
+}
+
+#[test]
+fn a_settled_step_passes_the_gate_and_history_names_its_first_record() {
+    // Four rows at 100, then sixteen at 130 (revs r1…r20).
+    let text: String = (1..=20)
+        .map(|i| {
+            line(
+                "step_case",
+                &format!("r{i}"),
+                if i <= 4 { 100.0 } else { 130.0 },
+                None,
+            )
+        })
+        .collect();
+    let path = scratch_ledger("settled_step", &text);
+    let out = tsv3d(&["history", &path, "--gate-detect"]);
+    assert_eq!(out.status.code(), Some(0), "stdout: {}", stdout(&out));
+    let out = tsv3d(&["history", &path, "--detect"]);
+    assert_eq!(out.status.code(), Some(0));
+    assert!(
+        stdout(&out).contains("REGRESSED@r5 (+30.0%)"),
+        "{}",
+        stdout(&out)
+    );
+}
+
+#[test]
+fn thread_counts_keep_their_own_series() {
+    // Threads-2 rows (a 2-core CI runner) never share a window with the
+    // threads-4 rows of the same case.
+    let mut text = line("pool_case", "r", 100.0, None).repeat(8);
+    text.push_str(
+        &line("pool_case", "r", 180.0, None)
+            .replace("\"threads\":4", "\"threads\":2")
+            .repeat(6),
+    );
+    let path = scratch_ledger("threads", &text);
+    let out = tsv3d(&["history", &path, "--gate-detect"]);
+    assert_eq!(out.status.code(), Some(0), "stdout: {}", stdout(&out));
+    let table = stdout(&out);
+    assert_eq!(
+        table.lines().filter(|l| l.contains("pool_case")).count(),
+        2,
+        "{table}"
+    );
+}

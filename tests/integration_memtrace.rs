@@ -1,6 +1,7 @@
 //! End-to-end tests of the memory-observability surface: allocation
 //! deltas on span events, provenance on `run.start`, `tsv3d trace
-//! --mem` / `--format json`, bench memory stats and `--gate-mem`.
+//! --mem` / `--format json`, bench memory stats and the ledger gate
+//! on allocated bytes.
 //!
 //! The `tsv3d` binary links the counting global allocator through the
 //! experiments crate's `obs` module, so these tests exercise the real
@@ -192,25 +193,38 @@ fn trace_surfaces_skipped_lines_in_every_format() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Five `gray_encode_w16_4k` ledger rows at a very slow median and
+/// the given allocation field (`""` for rows without one).
+fn gray_rows(alloc_field: &str) -> String {
+    format!(
+        "{{\"schema\":\"tsv3d-history/v1\",\"kind\":\"bench\",\
+         \"case\":\"gray_encode_w16_4k\",\"git_rev\":\"base\",\"unix_time_s\":1,\
+         \"median_ns\":900000000000,{alloc_field}\"threads\":4}}\n"
+    )
+    .repeat(5)
+}
+
 #[test]
-fn bench_records_mem_stats_and_gate_mem_catches_regressions() {
+fn bench_records_mem_stats_and_the_ledger_gate_catches_alloc_regressions() {
     let dir = scratch("gatemem");
     let out_dir = dir.join("artifacts");
-    let baseline = dir.join("base.json");
-    let out = tsv3d(&[
-        "bench",
-        "--no-history",
-        "--case",
-        "gray_encode",
-        "--iters",
-        "2",
-        "--warmup",
-        "0",
-        "--out-dir",
-        out_dir.to_str().unwrap(),
-        "--write-baseline",
-        baseline.to_str().unwrap(),
-    ]);
+    let bench = |ledger: &PathBuf| {
+        tsv3d(&[
+            "bench",
+            "--case",
+            "gray_encode",
+            "--iters",
+            "2",
+            "--warmup",
+            "0",
+            "--out-dir",
+            out_dir.to_str().unwrap(),
+            "--history",
+            ledger.to_str().unwrap(),
+        ])
+    };
+    let fresh = dir.join("fresh.jsonl");
+    let out = bench(&fresh);
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
     assert!(
         stdout(&out).contains("B/iter"),
@@ -233,86 +247,48 @@ fn bench_records_mem_stats_and_gate_mem_catches_regressions() {
     assert!(measured > 0, "gray encode allocates its output Vec");
     assert!(mem.get("peak_bytes").and_then(JsonValue::as_u64).is_some());
 
-    // The baseline row carries alloc_bytes_per_iter.
-    let base_doc =
-        json::parse(&std::fs::read_to_string(&baseline).unwrap()).unwrap();
-    assert!(std::fs::read_to_string(&baseline)
-        .unwrap()
-        .contains("tsv3d-bench-baseline/v2"));
-    let rows = base_doc.get("cases").and_then(JsonValue::as_array).unwrap();
+    // The ledger row carries alloc_bytes_per_iter.
+    let row = json::parse(std::fs::read_to_string(&fresh).unwrap().trim()).unwrap();
     assert_eq!(
-        rows[0].get("alloc_bytes_per_iter").and_then(JsonValue::as_u64),
+        row.get("alloc_bytes_per_iter").and_then(JsonValue::as_u64),
         Some(measured)
     );
 
-    // Hand-edit the baseline to a fraction of the real usage: the
-    // current (unchanged) run now reads as a memory regression.
-    let edited = format!(
-        "{{\"cases\":[{{\"case\":\"gray_encode_w16_4k\",\"median_ns\":900000000000,\
-         \"p95_ns\":900000000000,\"alloc_bytes_per_iter\":{}}}]}}",
-        (measured / 2).max(1)
-    );
-    let edited_path = dir.join("edited.json");
-    std::fs::write(&edited_path, &edited).unwrap();
-    let out = tsv3d(&[
-        "bench",
-        "--no-history",
-        "--case",
-        "gray_encode",
-        "--iters",
-        "2",
-        "--warmup",
-        "0",
-        "--out-dir",
-        out_dir.to_str().unwrap(),
-        "--baseline",
-        edited_path.to_str().unwrap(),
-        "--gate-mem",
-        "20",
-    ]);
+    let gate = |rows: String, extra: &[&str]| {
+        let ledger = dir.join("gated.jsonl");
+        std::fs::write(&ledger, rows).unwrap();
+        let out = bench(&ledger);
+        assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+        let path = ledger.to_str().unwrap().to_string();
+        let mut args = vec!["history", path.as_str(), "--detect-pct", "20"];
+        args.extend_from_slice(extra);
+        tsv3d(&args)
+    };
+    // Rows at a fraction of the real usage: the unchanged workload now
+    // reads as an allocation regression.
+    let half = format!("\"alloc_bytes_per_iter\":{},", (measured / 2).max(1));
+    let out = gate(gray_rows(&half), &["--gate-detect"]);
     assert_eq!(
         out.status.code(),
         Some(1),
-        "mem regression must exit 1; stdout: {}\nstderr: {}",
+        "alloc regression must exit 1; stdout: {}\nstderr: {}",
         stdout(&out),
         stderr(&out)
     );
-    assert!(stdout(&out).contains("REGRESSED-MEM"), "{}", stdout(&out));
+    assert!(stdout(&out).contains("REGRESSED"), "{}", stdout(&out));
+    assert!(
+        stderr(&out).contains("gray_encode_w16_4k"),
+        "{}",
+        stderr(&out)
+    );
 
-    // Same baseline without --gate-mem: informational only.
-    let out = tsv3d(&[
-        "bench",
-        "--no-history",
-        "--case",
-        "gray_encode",
-        "--iters",
-        "2",
-        "--warmup",
-        "0",
-        "--out-dir",
-        out_dir.to_str().unwrap(),
-        "--baseline",
-        edited_path.to_str().unwrap(),
-    ]);
+    // The same ledger without the gate: history only.
+    let out = gate(gray_rows(&half), &["--detect"]);
     assert_eq!(out.status.code(), Some(0), "{}", stdout(&out));
 
-    // The self-written baseline gates clean on both axes.
-    let out = tsv3d(&[
-        "bench",
-        "--no-history",
-        "--case",
-        "gray_encode",
-        "--iters",
-        "2",
-        "--warmup",
-        "0",
-        "--out-dir",
-        out_dir.to_str().unwrap(),
-        "--baseline",
-        baseline.to_str().unwrap(),
-        "--gate-mem",
-        "20",
-    ]);
+    // Rows at the measured usage gate clean on both axes.
+    let same = format!("\"alloc_bytes_per_iter\":{measured},");
+    let out = gate(gray_rows(&same), &["--gate-detect"]);
     assert_eq!(
         out.status.code(),
         Some(0),
@@ -320,32 +296,12 @@ fn bench_records_mem_stats_and_gate_mem_catches_regressions() {
         stdout(&out)
     );
 
-    // A v1 baseline (no mem fields) still parses and never mem-gates.
-    let v1 = r#"{"cases":[{"case":"gray_encode_w16_4k","median_ns":900000000000,"p95_ns":900000000000}]}"#;
-    let v1_path = dir.join("v1.json");
-    std::fs::write(&v1_path, v1).unwrap();
-    let out = tsv3d(&[
-        "bench",
-        "--no-history",
-        "--case",
-        "gray_encode",
-        "--iters",
-        "2",
-        "--warmup",
-        "0",
-        "--out-dir",
-        out_dir.to_str().unwrap(),
-        "--baseline",
-        v1_path.to_str().unwrap(),
-        "--gate",
-        "1000000",
-        "--gate-mem",
-        "20",
-    ]);
+    // Rows without allocation data never alloc-gate.
+    let out = gate(gray_rows(""), &["--gate-detect"]);
     assert_eq!(
         out.status.code(),
         Some(0),
-        "v1 baseline has no mem data to gate on: {}\n{}",
+        "rows without alloc data have nothing to gate on: {}\n{}",
         stdout(&out),
         stderr(&out)
     );
