@@ -1,6 +1,5 @@
 //! Implementation of the `tsv3d` observability subcommands: `bench`,
-//! `trace`, `converge`, `explain`, `history`, `serve`, `watch` and
-//! `dash`.
+//! `trace`, `converge`, `explain`, `history`, `serve` and `dash`.
 //!
 //! The multiplexer binary in `tsv3d-experiments` forwards its argument
 //! list to [`dispatch`]. Each subcommand is one entry of a static table:
@@ -11,8 +10,8 @@
 //! of calling `std::process::exit` so the logic stays testable
 //! in-process.
 //!
-//! Exit codes: `0` success, `1` failure (I/O, a gated regression, or a
-//! failed bind), `2` usage error.
+//! Exit codes: `0` success, `1` failure (I/O, a gated regression, a
+//! stalled live run, a failed bind), `2` usage error or malformed input.
 
 use crate::analytics;
 use crate::converge;
@@ -24,11 +23,10 @@ use crate::history;
 use crate::registry;
 use crate::report::BenchReport;
 use crate::trace;
-use crate::watch;
 use std::fmt::Display;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
-use tsv3d_telemetry::export::{self, DashHtml, MetricsServer, RunsJson};
+use tsv3d_telemetry::export::{MetricsServer, RunsJson};
 use tsv3d_telemetry::pulse::Pulse;
 use tsv3d_telemetry::{JsonLinesSink, NullSink, Sink, TelemetryHandle, Value};
 
@@ -160,7 +158,7 @@ Starts a std-only HTTP listener exposing live metrics:
   /healthz   liveness probe (`ok`)
   /runs      recent tsv3d-history/v1 run records as JSON
   /progress  live per-restart progress as tsv3d-pulse/v1 JSON
-             (consumed by `tsv3d watch --addr`)
+             (rendered by `tsv3d dash --live`)
   /dash      the `tsv3d dash` HTML dashboard rendered live from the
              bench artifacts, the ledger, and an in-process /metrics
              snapshot
@@ -190,33 +188,6 @@ Options:
                         default: serve until killed)
 ";
 
-/// Usage text of `tsv3d watch`.
-pub const WATCH_USAGE: &str = "\
-Usage: tsv3d watch [snapshot.json] [options]
-
-Watches a long-running optimization: reads the tsv3d-pulse/v1 progress
-document from a saved snapshot file, a live `tsv3d serve` /progress
-endpoint, or a JSONL telemetry trace (progress is then derived from
-the anneal.epoch events), and renders a per-restart progress/ETA table
-with the watchdog's stall verdicts. Give exactly one source.
-
-Exit codes: 0 when every restart is live or done, 1 when any restart
-is stalled (or the source is unreachable/unreadable), 2 for usage
-errors and malformed documents.
-
-Options:
-  --addr HOST:PORT      scrape a live /progress endpoint
-  --trace FILE          derive progress from a JSONL telemetry trace
-  --stall-secs S        trace mode: a restart whose newest epoch is
-                        more than S trace-seconds older than the
-                        newest event counts as stalled (default 5)
-  --poll SECS           addr mode: re-scrape every SECS seconds until
-                        every restart is done (exit 0) or the
-                        watchdog flags one (exit 1)
-  --format json|text    output format (default text); json echoes one
-                        tsv3d-pulse/v1 object per rendering
-";
-
 /// Usage text of `tsv3d dash`.
 pub const DASH_USAGE: &str = "\
 Usage: tsv3d dash [options]
@@ -230,11 +201,16 @@ committed experiment artifacts, and optional live scrapes — plus a
 machine-readable tsv3d-dash/v1 JSON index with --format json.
 
 The page is a pure function of its inputs: no wall clock, no current
-git revision — byte-identical across repeated runs and for every
---threads value. Malformed artifacts and ledger lines are skipped and
-counted, never fatal; missing *default* inputs degrade to empty
-sections, while an explicitly-given file that cannot be read is an
-error (exit 1).
+git revision — byte-identical across repeated runs. Malformed
+artifacts and ledger lines are skipped and counted, never fatal;
+missing *default* inputs degrade to empty sections, while an
+explicitly-given file that cannot be read is an error (exit 1).
+
+With --live the page is written first, then the exit code reports the
+live run: 0 when every restart is live or done, 1 when the watchdog
+flags a restart stalled (named on stderr), 2 for a malformed /progress
+document. An endpoint that is down or silent for 5 s exits 1 and no
+page is written.
 
 Options:
   --bench-dir DIR       bench artifact directory to scan for
@@ -245,17 +221,16 @@ Options:
                         panel
   --artifacts DIR       directory of committed experiment .txt
                         artifacts to list (default results)
-  --live ADDR           also scrape /metrics and /progress from a live
-                        `tsv3d serve` into the page (the one
-                        non-reproducible section, by design)
+  --live ADDR           also scrape a live `tsv3d serve`: /metrics
+                        verbatim, /progress as a per-restart table
+                        (done/planned, best power, ETA or STALLED);
+                        the one non-reproducible section, by design
   --out FILE            HTML output path (default
                         results/dashboard.html)
   --window K            trailing records in the trend window
                         (default 5)
   --detect-pct PCT      changepoint effect-size threshold, percent
                         (default 10)
-  --threads N           ingestion worker threads (default 1; the
-                        output is byte-identical for every N)
   --format json|text    output format (default text); text prints a
                         one-line summary after writing the HTML, json
                         emits the tsv3d-dash/v1 index on stdout (the
@@ -334,7 +309,7 @@ struct Subcommand {
 }
 
 /// Every observability subcommand of the `tsv3d` binary.
-const SUBCOMMANDS: [Subcommand; 8] = [
+const SUBCOMMANDS: [Subcommand; 7] = [
     Subcommand {
         name: "bench",
         usage: BENCH_USAGE,
@@ -425,19 +400,6 @@ const SUBCOMMANDS: [Subcommand; 8] = [
         run: run_serve,
     },
     Subcommand {
-        name: "watch",
-        usage: WATCH_USAGE,
-        flags: &[
-            ("--addr", One),
-            ("--trace", One),
-            ("--stall-secs", One),
-            ("--poll", One),
-            ("--format", One),
-        ],
-        positionals: 1,
-        run: run_watch,
-    },
-    Subcommand {
         name: "dash",
         usage: DASH_USAGE,
         flags: &[
@@ -450,7 +412,6 @@ const SUBCOMMANDS: [Subcommand; 8] = [
             ("--out", One),
             ("--window", One),
             ("--detect-pct", One),
-            ("--threads", One),
             ("--format", One),
         ],
         positionals: 0,
@@ -632,7 +593,7 @@ fn create_dir(dir: &Path) -> Result<(), Fail> {
 }
 
 /// Reads a telemetry JSON-lines trace through the one event reader
-/// shared by `trace`, `converge` and `watch`. The skipped-line count
+/// shared by `trace` and `converge`. The skipped-line count
 /// rides inside every output format too, but a degraded trace deserves
 /// a warning that survives `| jq`.
 fn read_events(path: &Path) -> Result<trace::ParsedTrace, Fail> {
@@ -1050,46 +1011,12 @@ fn run_history(args: &Args) -> Result<i32, Fail> {
     Ok(0)
 }
 
-/// Reads every file in `dir` whose name passes `keep`, in sorted
-/// filename order — the ingestion order the dashboard's determinism
-/// contract pins. An unreadable directory yields the error; entries
-/// that cannot be read as text (subdirectories, files that vanish
-/// between the scan and the read) are silently dropped, and the
-/// parse-level skip-and-count handles malformed content.
-fn collect_files(dir: &Path, keep: fn(&str) -> bool) -> std::io::Result<Vec<(String, String)>> {
-    let mut names: Vec<String> = std::fs::read_dir(dir)?
-        .filter_map(|entry| entry.ok())
-        .filter_map(|entry| entry.file_name().into_string().ok())
-        .filter(|name| keep(name))
-        .collect();
-    names.sort();
-    Ok(names
-        .into_iter()
-        .filter_map(|name| {
-            std::fs::read_to_string(dir.join(&name))
-                .ok()
-                .map(|text| (name, text))
-        })
-        .collect())
-}
-
-/// `BENCH_<case>.json` artifact names.
-fn is_bench_artifact(name: &str) -> bool {
-    name.starts_with("BENCH_") && name.ends_with(".json")
-}
-
-/// Committed experiment `.txt` artifact names.
-fn is_text_artifact(name: &str) -> bool {
-    name.ends_with(".txt")
-}
-
 /// Runs `tsv3d dash`.
 fn run_dash(args: &Args) -> Result<i32, Fail> {
     let defaults = dash::DashOptions::default();
     let opts = dash::DashOptions {
         window: args.positive("--window")?.unwrap_or(defaults.window),
         detect_pct: args.pct("--detect-pct")?.unwrap_or(defaults.detect_pct),
-        threads: args.positive("--threads")?.unwrap_or(defaults.threads),
     };
     let json_format = args.json_format()?;
     let bench_dir = args
@@ -1108,13 +1035,16 @@ fn run_dash(args: &Args) -> Result<i32, Fail> {
     };
     // Missing *default* inputs degrade to empty sections; an
     // explicitly-named file that cannot be read is an error.
-    match collect_files(&bench_dir, is_bench_artifact) {
-        Ok(files) => sources.bench_files = files,
-        Err(e) => eprintln!(
-            "warning: cannot read bench dir `{}`: {e}; bench section will be empty",
-            bench_dir.display()
-        ),
-    }
+    let scan = |what: &str, dir: &Path, keep: fn(&str) -> bool| {
+        dash::collect_files(dir, keep).unwrap_or_else(|e| {
+            eprintln!(
+                "warning: cannot read {what} dir `{}`: {e}; {what} section will be empty",
+                dir.display()
+            );
+            Vec::new()
+        })
+    };
+    sources.bench_files = scan("bench", &bench_dir, dash::is_bench_artifact);
     match args.path("--history") {
         Some(path) => sources.history = Some((path.display().to_string(), read(&path)?)),
         None => {
@@ -1130,20 +1060,11 @@ fn run_dash(args: &Args) -> Result<i32, Fail> {
     if let Some(path) = args.path("--converge") {
         sources.converge = Some((path.display().to_string(), read(&path)?));
     }
-    match collect_files(&artifacts_dir, is_text_artifact) {
-        Ok(files) => sources.artifacts = files,
-        Err(e) => eprintln!(
-            "warning: cannot read artifacts dir `{}`: {e}; artifact section will be empty",
-            artifacts_dir.display()
-        ),
-    }
+    sources.artifacts = scan("artifacts", &artifacts_dir, |name| name.ends_with(".txt"));
     if let Some(addr) = args.str("--live") {
-        for endpoint in ["/metrics", "/progress"] {
-            let body = watch::fetch_path(addr, endpoint).map_err(Fail::Runtime)?;
-            sources
-                .live
-                .push((format!("http://{addr}{endpoint}"), body));
-        }
+        let fetch = |path: &str| dash::fetch_path(addr, path).map_err(Fail::Runtime);
+        sources.live.push(fetch("/metrics")?);
+        sources.progress = Some(fetch("/progress")?);
     }
 
     let data = dash::build(&sources, &opts);
@@ -1163,7 +1084,16 @@ fn run_dash(args: &Args) -> Result<i32, Fail> {
             data.verdicts.iter().filter(|v| v.regressed()).count()
         );
     }
-    Ok(0)
+    // The live run's verdict, once the page is written.
+    let stalled = data.stalled().join(", ");
+    match &data.progress {
+        Some((_, Err(message))) => {
+            eprintln!("error: {message}");
+            Ok(2)
+        }
+        _ if !stalled.is_empty() => Err(Fail::Runtime(format!("stalled restart(s): {stalled}"))),
+        _ => Ok(0),
+    }
 }
 
 /// Runs `tsv3d serve`.
@@ -1200,31 +1130,7 @@ fn run_serve(args: &Args) -> Result<i32, Fail> {
             Err(_) => "[]\n".to_string(),
         })
     };
-    // /dash renders the same dashboard `tsv3d dash` writes to disk,
-    // re-reading the bench dir and ledger per request so the page
-    // tracks artifacts landing while the server runs; the live section
-    // comes from an in-process registry snapshot instead of a
-    // self-scrape.
-    let dash_html: DashHtml = {
-        let history_path = history_path.clone();
-        let tel = tel.clone();
-        std::sync::Arc::new(move || {
-            let mut sources = dash::DashSources {
-                bench_dir: bench_dir.display().to_string(),
-                ..dash::DashSources::default()
-            };
-            sources.bench_files = collect_files(&bench_dir, is_bench_artifact).unwrap_or_default();
-            if let Ok(text) = std::fs::read_to_string(&history_path) {
-                sources.history = Some((history_path.display().to_string(), text));
-            }
-            let snapshot = export::MetricsSnapshot::capture(&tel);
-            sources.live.push((
-                "in-process /metrics snapshot".to_string(),
-                export::render_prometheus(&snapshot),
-            ));
-            dash::render_html(&dash::build(&sources, &dash::DashOptions::default()))
-        })
-    };
+    let dash_html = dash::served_page(bench_dir, history_path.clone(), tel.clone());
     let server = MetricsServer::start_with(addr.as_str(), &tel, Some(runs), Some(dash_html))
         .map_err(|message| Fail::Runtime(format!("cannot bind `{addr}`: {message}")))?;
     // Stdout is line-buffered even when piped: smoke tests parse the
@@ -1274,74 +1180,6 @@ fn run_serve(args: &Args) -> Result<i32, Fail> {
     println!("served {} request(s); exiting", server.requests_served());
     server.shutdown();
     Ok(0)
-}
-
-/// Runs `tsv3d watch` under its exit contract: 0 live/done, 1 stalled
-/// or unreachable source, 2 usage errors and malformed documents.
-fn run_watch(args: &Args) -> Result<i32, Fail> {
-    let secs = |flag: &str| match args.value::<f64>(flag)? {
-        Some(s) if !(s > 0.0 && s.is_finite()) => {
-            Err(Fail::Usage(format!("{flag} must be positive")))
-        }
-        s => Ok(s),
-    };
-    let stall_secs = secs("--stall-secs")?.unwrap_or(watch::DEFAULT_TRACE_STALL_SECS);
-    let poll_secs = secs("--poll")?;
-    let json_format = args.json_format()?;
-    let snapshot = args.positional().map(Path::new);
-    let addr = args.str("--addr");
-    let trace_path = args.path("--trace");
-    let sources = usize::from(snapshot.is_some())
-        + usize::from(addr.is_some())
-        + usize::from(trace_path.is_some());
-    if sources != 1 {
-        return Err(Fail::Usage(
-            "give exactly one source (a snapshot file, --addr or --trace)".to_string(),
-        ));
-    }
-    if poll_secs.is_some() && addr.is_none() {
-        return Err(Fail::Usage(
-            "--poll only applies to --addr mode".to_string(),
-        ));
-    }
-
-    // Loads one view of the source; a malformed document exits 2
-    // without the usage text, since the arguments were fine.
-    let load = || -> Result<Result<watch::WatchReport, String>, Fail> {
-        Ok(if let Some(addr) = addr {
-            let body = watch::fetch_progress(addr).map_err(Fail::Runtime)?;
-            watch::parse_progress(&body, &format!("http://{addr}/progress"))
-        } else if let Some(path) = &trace_path {
-            watch::from_trace(&read_events(path)?, &path.display().to_string(), stall_secs)
-        } else {
-            let path = snapshot.expect("one source is set");
-            watch::parse_progress(&read(path)?, &path.display().to_string())
-        })
-    };
-    loop {
-        let report = match load()? {
-            Ok(report) => report,
-            Err(message) => {
-                eprintln!("error: {message}");
-                return Ok(2);
-            }
-        };
-        print!(
-            "{}",
-            if json_format {
-                report.render_json()
-            } else {
-                report.render_table()
-            }
-        );
-        let code = report.exit_code();
-        match poll_secs {
-            Some(secs) if code == 0 && !report.all_done() => {
-                std::thread::sleep(std::time::Duration::from_secs_f64(secs));
-            }
-            _ => return Ok(code),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1408,7 +1246,9 @@ mod tests {
 
     #[test]
     fn help_wins_and_positionals_are_bounded() {
-        assert!(matches!(parse("trace", &["-h"]), Ok(None)));
+        for cmd in &SUBCOMMANDS {
+            assert!(matches!(parse(cmd.name, &["-h"]), Ok(None)), "{}", cmd.name);
+        }
         assert!(matches!(
             parse("explain", &["--top", "3", "--help"]),
             Ok(None)
@@ -1485,10 +1325,8 @@ mod tests {
     fn bench_threads_defaults_and_accepts_auto() {
         let parsed = parse("bench", &[]).unwrap().unwrap();
         assert_eq!(parsed.value::<usize>("--threads").unwrap(), None);
-        // `bench --threads 0` means one worker per CPU; `dash --threads
-        // 0` is rejected.
+        // `bench --threads 0` means one worker per CPU.
         assert_eq!(run("bench", &["--list", "--threads", "0"]), 0);
-        assert_eq!(run("dash", &["--threads", "0"]), 2);
     }
 
     #[test]

@@ -118,9 +118,9 @@ pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
 }
 
 /// Deepest array/object nesting [`parse`] accepts. The parser recurses
-/// once per level and reads documents from the network (`tsv3d watch
-/// --addr`, `tsv3d dash --live`), so without a bound a run of `[`
-/// would overflow the stack instead of failing the parse.
+/// once per level and reads documents from the network (`tsv3d dash
+/// --live`), so without a bound a run of `[` would overflow the stack
+/// instead of failing the parse.
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {

@@ -43,15 +43,13 @@
 //!   one self-contained, byte-deterministic HTML page (and a
 //!   `tsv3d-dash/v1` JSON index) fusing bench artifacts, ledger
 //!   trends + changepoint verdicts, the flamegraph, the convergence
-//!   plot, the attribution heatmap and optional live scrapes; also
-//!   served live from `tsv3d serve` at `/dash`.
+//!   plot, the attribution heatmap and, with `--live`, a running
+//!   `tsv3d serve`'s `/metrics` and per-restart `/progress` table
+//!   (ETA and stall verdicts, which drive the exit code); also served
+//!   live from `tsv3d serve` at `/dash`.
 //! * [`svg`] — the shared deterministic-SVG primitives (document
 //!   skeleton, escaping, FNV-1a color keying) behind all three
 //!   renderers.
-//! * [`watch`] — the live-run watch surface (`tsv3d watch`): reads
-//!   the `tsv3d-pulse/v1` progress document from a snapshot file, a
-//!   live `/progress` endpoint or a JSONL trace, and renders
-//!   per-restart progress/ETA tables with stall verdicts.
 //!
 //! Everything is std-only: [`json`] is a small hand-rolled JSON
 //! writer/parser, so the subsystem adds no dependencies. The
@@ -75,4 +73,3 @@ pub mod registry;
 pub mod report;
 pub mod svg;
 pub mod trace;
-pub mod watch;

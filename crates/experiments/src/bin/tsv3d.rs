@@ -41,11 +41,10 @@ Commands:
   serve     HTTP listener: /metrics (Prometheus), /healthz, /runs,
             /progress (live tsv3d-pulse/v1 per-restart progress),
             /dash (live HTML dashboard)
-  watch     live progress/ETA tables with stall verdicts, from a
-            /progress endpoint, a snapshot file or a JSONL trace
   dash      render the unified observability dashboard (one
             self-contained, byte-deterministic HTML page + a
-            tsv3d-dash/v1 JSON index)
+            tsv3d-dash/v1 JSON index); --live ADDR adds a running
+            serve's per-restart progress table and exits 1 on a stall
   help      print this usage summary
 
 Common options:

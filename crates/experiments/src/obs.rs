@@ -199,47 +199,14 @@ fn maybe_start_metrics_server(tel: &TelemetryHandle) {
                     |text| history::runs_json(&history::parse_ledger(&text), 50),
                 )
         });
-        // /dash serves the same renderer `tsv3d dash` writes to disk,
-        // fed from the committed default locations plus a live
-        // in-process registry snapshot.
-        let dash: export::DashHtml = {
-            let tel = tel.clone();
-            Arc::new(move || {
-                let mut sources = tsv3d_bench::dash::DashSources {
-                    bench_dir: "results/bench".to_string(),
-                    ..tsv3d_bench::dash::DashSources::default()
-                };
-                if let Ok(entries) = std::fs::read_dir("results/bench") {
-                    let mut names: Vec<String> = entries
-                        .filter_map(|e| e.ok())
-                        .filter_map(|e| e.file_name().into_string().ok())
-                        .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
-                        .collect();
-                    names.sort();
-                    for name in names {
-                        if let Ok(text) =
-                            std::fs::read_to_string(PathBuf::from("results/bench").join(&name))
-                        {
-                            sources.bench_files.push((name, text));
-                        }
-                    }
-                }
-                let ledger = history_path()
-                    .unwrap_or_else(|| PathBuf::from("results/history.jsonl"));
-                if let Ok(text) = std::fs::read_to_string(&ledger) {
-                    sources.history = Some((ledger.display().to_string(), text));
-                }
-                let snapshot = export::MetricsSnapshot::capture(&tel);
-                sources.live.push((
-                    "in-process /metrics snapshot".to_string(),
-                    export::render_prometheus(&snapshot),
-                ));
-                tsv3d_bench::dash::render_html(&tsv3d_bench::dash::build(
-                    &sources,
-                    &tsv3d_bench::dash::DashOptions::default(),
-                ))
-            })
-        };
+        // /dash serves the same renderer as `tsv3d serve`, fed from the
+        // committed default locations plus a live in-process registry
+        // snapshot.
+        let dash = tsv3d_bench::dash::served_page(
+            PathBuf::from("results/bench"),
+            history_path().unwrap_or_else(|| PathBuf::from("results/history.jsonl")),
+            tel.clone(),
+        );
         match export::MetricsServer::start_with(addr.as_str(), tel, Some(runs), Some(dash)) {
             Ok(server) => {
                 eprintln!("metrics: serving on http://{}/", server.local_addr());

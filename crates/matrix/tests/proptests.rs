@@ -105,3 +105,49 @@ proptest! {
         prop_assert_eq!(back, p);
     }
 }
+
+/// The bytes the compact `SignedPerm` form is made of.
+const PERM_ALPHABET: &[u8] = b"0123456789,- ";
+
+/// Parses `bytes`; a permutation that parses has one bit per
+/// comma-separated entry and survives a display round trip.
+fn parse_perm(bytes: &[u8]) -> Result<(), String> {
+    let text = String::from_utf8_lossy(bytes);
+    if let Ok(p) = text.parse::<SignedPerm>() {
+        prop_assert_eq!(p.n(), text.split(',').count());
+        prop_assert_eq!(p.to_string().parse::<SignedPerm>().ok(), Some(p));
+    }
+    Ok(())
+}
+
+proptest! {
+    #[test]
+    fn perm_parsing_never_panics_on_arbitrary_bytes(
+        raw in prop::collection::vec(any::<u8>(), 0..48),
+        text in prop::collection::vec(
+            (0..PERM_ALPHABET.len()).prop_map(|i| PERM_ALPHABET[i]),
+            0..48,
+        ),
+    ) {
+        parse_perm(&raw)?;
+        parse_perm(&text)?;
+    }
+
+    #[test]
+    fn perm_parsing_never_panics_on_a_changed_byte(
+        p in signed_perm(12),
+        at in 0usize..1000,
+        byte in any::<u8>(),
+    ) {
+        let mut bytes = p.to_string().into_bytes();
+        let at = at % bytes.len();
+        bytes[at] = byte;
+        parse_perm(&bytes)?;
+    }
+
+    #[test]
+    fn perm_parsing_never_panics_on_a_cut_tail(p in signed_perm(12), cut in 0usize..1000) {
+        let bytes = p.to_string().into_bytes();
+        parse_perm(&bytes[..cut % (bytes.len() + 1)])?;
+    }
+}

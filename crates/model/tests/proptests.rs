@@ -1,7 +1,8 @@
 //! Property-based tests of the capacitance extraction pipeline.
 
 use proptest::prelude::*;
-use tsv3d_model::{Extractor, LinearCapModel, TsvArray, TsvGeometry};
+use tsv3d_matrix::Matrix;
+use tsv3d_model::{io, Extractor, LinearCapModel, TsvArray, TsvGeometry};
 
 fn extractor() -> Extractor {
     Extractor::new(TsvArray::new(3, 3, TsvGeometry::itrs_2018_min()).expect("valid array"))
@@ -72,5 +73,52 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+/// The bytes capacitance CSVs are made of.
+const CSV_ALPHABET: &[u8] = b"0123456789.,-+eE \n\tinfa";
+
+/// A valid 3×3 capacitance CSV, as `matrix_to_csv` writes it.
+fn valid_csv() -> Vec<u8> {
+    io::matrix_to_csv(&Matrix::from_fn(3, |i, j| (i * 3 + j) as f64 * 1.5e-15)).into_bytes()
+}
+
+/// Parses `bytes`; a matrix that parses must have one row per
+/// non-blank line.
+fn parse_csv(bytes: &[u8]) -> Result<(), String> {
+    let text = String::from_utf8_lossy(bytes);
+    if let Ok(m) = io::matrix_from_csv(&text) {
+        prop_assert_eq!(m.n(), text.lines().filter(|l| !l.trim().is_empty()).count());
+    }
+    Ok(())
+}
+
+proptest! {
+    #[test]
+    fn csv_import_never_panics_on_arbitrary_bytes(
+        raw in prop::collection::vec(any::<u8>(), 0..64),
+        csv in prop::collection::vec(
+            (0..CSV_ALPHABET.len()).prop_map(|i| CSV_ALPHABET[i]),
+            0..64,
+        ),
+    ) {
+        parse_csv(&raw)?;
+        parse_csv(&csv)?;
+    }
+
+    #[test]
+    fn csv_import_never_panics_on_a_changed_byte(at in 0usize..1000, byte in any::<u8>()) {
+        let mut bytes = valid_csv();
+        prop_assert!(io::matrix_from_csv(&String::from_utf8_lossy(&bytes)).is_ok());
+        let at = at % bytes.len();
+        bytes[at] = byte;
+        parse_csv(&bytes)?;
+    }
+
+    #[test]
+    fn csv_import_never_panics_on_a_cut_tail(cut in 0usize..1000) {
+        let bytes = valid_csv();
+        parse_csv(&bytes[..cut % (bytes.len() + 1)])?;
     }
 }

@@ -41,7 +41,9 @@ impl GrayFrame {
     ///
     /// # Errors
     ///
-    /// [`StatsError::PgmParse`] for malformed input.
+    /// [`StatsError::PgmParse`] for malformed input, including a header
+    /// whose width × height the rest of the input cannot hold — checked
+    /// before anything is allocated for the pixels.
     pub fn from_pgm(bytes: &[u8]) -> Result<Self, StatsError> {
         let mut cursor = 0usize;
         let magic = next_token(bytes, &mut cursor).ok_or_else(|| parse_err("missing magic"))?;
@@ -56,16 +58,21 @@ impl GrayFrame {
         if width == 0 || height == 0 || maxval == 0 || maxval > 65_535 {
             return Err(parse_err("invalid dimensions or maxval"));
         }
-        let pixels = width * height;
-        let mut luma = Vec::with_capacity(pixels);
         if binary {
             // One whitespace byte separates the header from the raster.
             cursor += 1;
-            let wide = maxval > 255;
-            let bytes_per = if wide { 2 } else { 1 };
-            if bytes.len() < cursor + pixels * bytes_per {
-                return Err(parse_err("truncated raster"));
-            }
+        }
+        // A P5 pixel takes `bytes_per` bytes and a P2 pixel at least one,
+        // so the header must fit what is left of the input.
+        let wide = binary && maxval > 255;
+        let bytes_per = if wide { 2 } else { 1 };
+        let left = bytes.len().saturating_sub(cursor);
+        let pixels = width
+            .checked_mul(height)
+            .filter(|p| p.checked_mul(bytes_per).is_some_and(|need| need <= left))
+            .ok_or_else(|| parse_err("truncated raster"))?;
+        let mut luma = Vec::with_capacity(pixels);
+        if binary {
             for k in 0..pixels {
                 let v = if wide {
                     u32::from(bytes[cursor + 2 * k]) << 8 | u32::from(bytes[cursor + 2 * k + 1])
@@ -201,6 +208,24 @@ mod tests {
         assert!(GrayFrame::from_pgm(b"P5 2 2 255\nab").is_err()); // truncated
         assert!(GrayFrame::from_pgm(b"P2 x 2 255 1 2").is_err());
         assert!(GrayFrame::from_pgm(b"").is_err());
+    }
+
+    #[test]
+    fn a_p2_header_larger_than_its_input_is_an_error() {
+        // 10^10 pixels promised by a 23-byte file.
+        assert!(matches!(
+            GrayFrame::from_pgm(b"P2 100000 100000 255\n0"),
+            Err(StatsError::PgmParse { .. })
+        ));
+    }
+
+    #[test]
+    fn a_p5_header_whose_byte_count_overflows_is_an_error() {
+        // 2^63 pixels of 2 bytes each: the byte count overflows usize.
+        assert!(matches!(
+            GrayFrame::from_pgm(b"P5 4611686018427387904 2 65535\n"),
+            Err(StatsError::PgmParse { .. })
+        ));
     }
 
     #[test]

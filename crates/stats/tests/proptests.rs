@@ -3,6 +3,7 @@
 
 use proptest::prelude::*;
 use tsv3d_stats::dbt::DualBitTypeModel;
+use tsv3d_stats::gen::GrayFrame;
 use tsv3d_stats::{BitStream, SwitchingStats};
 
 /// Strategy: a stream of `width` bits with 2..=80 words.
@@ -108,5 +109,60 @@ proptest! {
                 prop_assert!(stats.coupling_switching(i, j).abs() <= bound + 1e-9);
             }
         }
+    }
+}
+
+/// The bytes PGM headers are made of, so generated input reaches the
+/// number and raster parsing instead of failing on the magic.
+const PGM_ALPHABET: &[u8] = b"P25 \n#0123456789\xff";
+
+/// A valid PGM: ASCII, 8-bit binary or 16-bit binary.
+fn valid_pgm(kind: usize) -> Vec<u8> {
+    match kind {
+        0 => b"P2\n# comment\n3 2\n255\n0 128 255\n64 32 16\n".to_vec(),
+        1 => [&b"P5 3 2 255\n"[..], &[0, 85, 170, 255, 1, 2]].concat(),
+        _ => [&b"P5 2 1 65535\n"[..], &[0x80, 0x00, 0xFF, 0xFF]].concat(),
+    }
+}
+
+/// Decodes `bytes`; a frame that decodes must be consistent.
+fn decode_pgm(bytes: &[u8]) -> Result<(), String> {
+    if let Ok(frame) = GrayFrame::from_pgm(bytes) {
+        prop_assert_eq!(frame.luma().len(), frame.width() * frame.height());
+        prop_assert!(frame.luma().iter().all(|v| (0.0..=1.0).contains(v)));
+    }
+    Ok(())
+}
+
+proptest! {
+    #[test]
+    fn pgm_decoding_never_panics_on_arbitrary_bytes(
+        raw in prop::collection::vec(any::<u8>(), 0..64),
+        header in prop::collection::vec(
+            (0..PGM_ALPHABET.len()).prop_map(|i| PGM_ALPHABET[i]),
+            0..48,
+        ),
+    ) {
+        decode_pgm(&raw)?;
+        decode_pgm(&header)?;
+    }
+
+    #[test]
+    fn pgm_decoding_never_panics_on_a_changed_byte(
+        kind in 0usize..3,
+        at in 0usize..1000,
+        byte in any::<u8>(),
+    ) {
+        let mut bytes = valid_pgm(kind);
+        prop_assert!(GrayFrame::from_pgm(&bytes).is_ok());
+        let at = at % bytes.len();
+        bytes[at] = byte;
+        decode_pgm(&bytes)?;
+    }
+
+    #[test]
+    fn pgm_decoding_never_panics_on_a_cut_tail(kind in 0usize..3, cut in 0usize..1000) {
+        let bytes = valid_pgm(kind);
+        decode_pgm(&bytes[..cut % (bytes.len() + 1)])?;
     }
 }

@@ -285,10 +285,10 @@ pub fn render_prometheus(snap: &MetricsSnapshot) -> String {
 }
 
 /// Renders a progress snapshot as the `/progress` JSON document
-/// (schema [`PULSE_SCHEMA`], `tsv3d-pulse/v1`) — the same shape
-/// `tsv3d watch --format json` echoes. `None` (no pulse attached)
-/// renders a valid document with an empty `restarts` array, so
-/// scrapers never need to special-case a pulse-less server.
+/// (schema [`PULSE_SCHEMA`], `tsv3d-pulse/v1`), which `tsv3d dash
+/// --live` parses into its per-restart table. `None` (no pulse
+/// attached) renders a valid document with an empty `restarts` array,
+/// so scrapers never need to special-case a pulse-less server.
 ///
 /// Non-finite best powers (a restart before its first beat reports
 /// `+Inf`) serialize as `null`, keeping the body strict JSON.

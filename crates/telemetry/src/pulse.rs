@@ -36,8 +36,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Schema tag of the `/progress` JSON document and the `tsv3d watch`
-/// `--format json` output.
+/// Schema tag of the `/progress` JSON document, which `tsv3d dash
+/// --live` renders as its per-restart table.
 pub const PULSE_SCHEMA: &str = "tsv3d-pulse/v1";
 
 /// Default watchdog threshold, in ticks: a running restart whose

@@ -1,7 +1,7 @@
 //! Golden-file pin of the Prometheus text exposition format.
 //!
-//! The `/metrics` body is an interface other tooling parses (CI's
-//! serve-smoke job, any real Prometheus scraper), so its exact shape —
+//! The `/metrics` body is an interface other tooling parses (the
+//! smoke script's scrapes, any real Prometheus scraper), so its exact shape —
 //! series order, `_total` suffixes, cumulative log2 bucket edges, the
 //! zero bucket, sum/count formatting — is pinned byte-for-byte against
 //! `tests/data/metrics_golden.txt`. A deliberate format change must

@@ -37,13 +37,19 @@ fn scratch(tag: &str) -> PathBuf {
 
 #[test]
 fn unknown_subcommand_prints_usage_and_exits_2() {
-    let out = tsv3d(&["frobnicate"]);
-    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr(&out));
-    let err = stderr(&out);
-    assert!(err.contains("unknown command `frobnicate`"), "{err}");
-    assert!(err.contains("Usage: tsv3d <command>"), "{err}");
-    for cmd in ["bench", "trace", "converge", "explain", "history", "serve"] {
-        assert!(err.contains(cmd), "usage must list `{cmd}`: {err}");
+    // Live progress is `dash --live`; there is no `watch` command.
+    for unknown in ["frobnicate", "watch"] {
+        let out = tsv3d(&[unknown]);
+        assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr(&out));
+        let err = stderr(&out);
+        assert!(
+            err.contains(&format!("unknown command `{unknown}`")),
+            "{err}"
+        );
+        assert!(err.contains("Usage: tsv3d <command>"), "{err}");
+        for cmd in SUBCOMMANDS {
+            assert!(err.contains(cmd), "usage must list `{cmd}`: {err}");
+        }
     }
 }
 
@@ -61,15 +67,15 @@ fn help_prints_usage_on_stdout_and_exits_0() {
         assert_eq!(out.status.code(), Some(0), "`{arg}`");
         let text = stdout(&out);
         assert!(text.contains("Usage: tsv3d <command>"), "`{arg}`");
-        for cmd in ["bench", "trace", "converge", "explain", "history", "serve"] {
+        for cmd in SUBCOMMANDS {
             assert!(text.contains(cmd), "`{arg}` must list `{cmd}`: {text}");
         }
     }
 }
 
 /// The observability subcommands, each with its own usage text.
-const SUBCOMMANDS: [&str; 8] = [
-    "bench", "trace", "converge", "explain", "history", "serve", "watch", "dash",
+const SUBCOMMANDS: [&str; 7] = [
+    "bench", "trace", "converge", "explain", "history", "serve", "dash",
 ];
 
 #[test]

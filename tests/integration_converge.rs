@@ -168,6 +168,57 @@ fn svg_renders_byte_identically_across_runs() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A trace with the live pulse's own events mixed in (`pulse.sample`,
+/// `pulse.progress`) and the run's start and end: both restart series
+/// are read to their final iteration and the rest is counted as
+/// ignored.
+#[test]
+fn pulse_trace_yields_both_restart_series() {
+    let trace = fixture("pulse_trace_mixed.jsonl");
+    let out = tsv3d(&["converge", &trace]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    let text = stdout(&out);
+    assert!(
+        text.contains("2 restart series on 10 line(s), 0 skipped"),
+        "{text}"
+    );
+    assert!(text.contains("ignored: 3 event(s)"), "{text}");
+    assert!(text.contains("100 iters x 2 restarts"), "{text}");
+
+    let out = tsv3d(&["converge", &trace, "--format", "json"]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    let value = json::parse(&stdout(&out)).expect("stdout is one JSON document");
+    let restarts = value
+        .get("report")
+        .and_then(|r| r.get("restarts"))
+        .and_then(JsonValue::as_array)
+        .expect("restarts array");
+    assert_eq!(restarts.len(), 2);
+    for restart in restarts {
+        assert_eq!(
+            restart.get("iterations").and_then(JsonValue::as_u64),
+            Some(100)
+        );
+    }
+}
+
+#[test]
+fn pulse_trace_warns_about_malformed_lines() {
+    let dir = scratch("pulse_bad");
+    let path = dir.join("mixed.jsonl");
+    let text = std::fs::read_to_string(fixture("pulse_trace_mixed.jsonl")).unwrap();
+    std::fs::write(&path, format!("not json\n{text}")).unwrap();
+    let out = tsv3d(&["converge", path.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    let err = stderr(&out);
+    assert!(
+        err.contains("warning: 1 of 11 line(s) skipped as malformed"),
+        "{err}"
+    );
+    assert!(stdout(&out).contains("2 restart series on 11 line(s), 1 skipped"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn trace_without_epochs_exits_1_and_missing_file_too() {
     let dir = scratch("empty");
