@@ -1123,6 +1123,10 @@ mod tests {
         for cell in ["<td>r0</td>", "<td>running</td>", "30.0 s</td>"] {
             assert!(html.contains(cell), "{cell}: {html}");
         }
+    }
+
+    #[test]
+    fn null_best_power_renders_as_a_dash() {
         // A restart before its first report has no best power yet.
         let doc = live_doc().replace("\"best_power\":0.5", "\"best_power\":null");
         assert_eq!(parse_progress(&doc).unwrap()[0].best_power, None);
