@@ -422,11 +422,8 @@ fn reference_heatmap() -> Section {
             })
     }) {
         Ok(report) => {
-            let saved = if report.identity_power.abs() > 1e-300 {
-                (report.identity_power - report.power) / report.identity_power * 100.0
-            } else {
-                0.0
-            };
+            let saved =
+                explain::pct_of(report.identity_power - report.power, report.identity_power);
             (
                 inline_svg(&explain::render_heatmap(&report)),
                 format!(

@@ -1,4 +1,6 @@
-//! Per-TSV power attribution reports for `tsv3d explain`.
+//! Per-TSV power attribution reports for `tsv3d explain`, and the one
+//! problem grammar ([`ExplainSpec`], [`Method`]) that `assign`, `eval`,
+//! `explain` and the benchmark registry build their problems from.
 //!
 //! Builds on [`tsv3d_core::attribution`]: the exact decomposition of
 //! `power(Aπ)` into per-via self terms and per-pair coupling terms is
@@ -19,6 +21,7 @@
 //! assignments, so text, JSON and SVG outputs are byte-identical
 //! across runs.
 
+use crate::cli::Fail;
 use crate::json::ObjectWriter;
 use crate::svg::{document_open, xml_escape};
 use std::fmt::Write as _;
@@ -27,6 +30,7 @@ use tsv3d_core::{optimize, systematic, AssignmentProblem, SignedPerm};
 use tsv3d_model::{Extractor, LinearCapModel, TsvArray, TsvGeometry};
 use tsv3d_stats::gen::{GaussianSource, SequentialSource, UniformSource};
 use tsv3d_stats::SwitchingStats;
+use tsv3d_telemetry::TelemetryHandle;
 
 /// Schema identifier stamped on every JSON report.
 pub const SCHEMA: &str = "tsv3d-explain/v1";
@@ -79,7 +83,8 @@ pub enum StreamSpec {
     /// `seq:P` — sequential counter-like data with branch probability
     /// `P` (DSP-style LSB/MSB activity split).
     Sequential(f64),
-    /// `gauss:SIGMA[,RHO]` — correlated Gaussian samples.
+    /// `gauss:SIGMA[,RHO]` — Gaussian samples with lag-1 correlation
+    /// `RHO` (default 0).
     Gaussian(f64, f64),
     /// `uniform` — i.i.d. uniform words (the pessimistic baseline).
     Uniform,
@@ -111,9 +116,9 @@ impl StreamSpec {
                     .map_err(|_| format!("--stream gauss: bad correlation `{r}`"))?,
                 None => 0.0,
             };
-            if sigma <= 0.0 || !(0.0..1.0).contains(&rho) {
+            if !(sigma > 0.0 && sigma.is_finite() && rho > -1.0 && rho < 1.0) {
                 return Err(
-                    "--stream gauss: need sigma > 0 and correlation in [0, 1)".to_string()
+                    "--stream gauss: need sigma > 0 and correlation in (-1, 1)".to_string()
                 );
             }
             return Ok(StreamSpec::Gaussian(sigma, rho));
@@ -136,13 +141,16 @@ impl StreamSpec {
     }
 }
 
-/// How the explained assignment is obtained (`--method`).
+/// How an assignment is obtained (`--method`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Method {
-    /// Explain the identity assignment.
+    /// The identity assignment (bit `i` on line `i`).
     Identity,
-    /// Quick deterministic simulated annealing (default).
+    /// Seeded simulated annealing with the command's budget (default).
     Anneal,
+    /// Branch & bound under its default node budget; proves optimality
+    /// when the search completes.
+    Bnb,
     /// Greedy construction + 2-opt.
     Greedy,
     /// The data-independent Spiral assignment.
@@ -157,12 +165,13 @@ impl Method {
         match s {
             "identity" => Ok(Method::Identity),
             "anneal" => Ok(Method::Anneal),
+            "bnb" => Ok(Method::Bnb),
             "greedy" => Ok(Method::Greedy),
             "spiral" => Ok(Method::Spiral),
             "sawtooth" => Ok(Method::Sawtooth),
             other => Err(format!(
-                "--method must be `identity`, `anneal`, `greedy`, `spiral` or \
-                 `sawtooth`, got `{other}`"
+                "--method must be `identity`, `anneal`, `bnb`, `greedy`, `spiral` \
+                 or `sawtooth`, got `{other}`"
             )),
         }
     }
@@ -172,14 +181,49 @@ impl Method {
         match self {
             Method::Identity => "identity",
             Method::Anneal => "anneal",
+            Method::Bnb => "bnb",
             Method::Greedy => "greedy",
             Method::Spiral => "spiral",
             Method::Sawtooth => "sawtooth",
         }
     }
+
+    /// Runs the method on `problem` under `tel`, `anneal` with `budget`.
+    /// Returns the assignment and the method's description for reports
+    /// (`branch & bound (proven optimal)`).
+    pub fn solve(
+        self,
+        problem: &AssignmentProblem,
+        budget: &optimize::AnnealOptions,
+        tel: &TelemetryHandle,
+    ) -> Result<(SignedPerm, &'static str), String> {
+        Ok(match self {
+            Method::Identity => (SignedPerm::identity(problem.n()), "identity"),
+            Method::Anneal => {
+                let result = optimize::anneal_with_telemetry(problem, budget, tel)
+                    .map_err(|e| format!("anneal: {e}"))?;
+                (result.assignment, "simulated annealing")
+            }
+            Method::Bnb => {
+                let outcome =
+                    optimize::branch_and_bound_with_telemetry(problem, &Default::default(), tel)
+                        .map_err(|e| format!("bnb: {e}"))?;
+                let proof = if outcome.proven_optimal {
+                    "branch & bound (proven optimal)"
+                } else {
+                    "branch & bound (budget exhausted)"
+                };
+                (outcome.result.assignment, proof)
+            }
+            Method::Greedy => (optimize::greedy_two_opt(problem).assignment, "greedy 2-opt"),
+            Method::Spiral => (systematic::spiral(problem), "Spiral (systematic)"),
+            Method::Sawtooth => (systematic::sawtooth(problem), "Sawtooth (systematic)"),
+        })
+    }
 }
 
-/// The fully-resolved problem spec `tsv3d explain` analyzes.
+/// A fully-resolved, seeded assignment problem: the array, its
+/// geometry and the data stream. The default is `tsv3d explain`'s.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExplainSpec {
     /// Array rows.
@@ -192,7 +236,7 @@ pub struct ExplainSpec {
     pub stream: StreamSpec,
     /// Stream length in cycles.
     pub cycles: usize,
-    /// Stream / annealer seed.
+    /// Stream seed; `explain` also seeds its annealer with it.
     pub seed: u64,
 }
 
@@ -210,16 +254,18 @@ impl Default for ExplainSpec {
 }
 
 impl ExplainSpec {
+    /// The TSV array the spec describes.
+    pub fn array(&self) -> Result<TsvArray, String> {
+        TsvArray::new(self.rows, self.cols, self.geometry.geometry())
+            .map_err(|e| format!("array: {e}"))
+    }
+
     /// Builds the assignment problem the spec describes. Fully seeded,
     /// so the same spec always yields the same problem.
     pub fn build_problem(&self) -> Result<AssignmentProblem, String> {
         let n = self.rows * self.cols;
-        if n == 0 {
-            return Err("--rows/--cols must be positive".to_string());
-        }
-        let array = TsvArray::new(self.rows, self.cols, self.geometry.geometry())
-            .map_err(|e| format!("array: {e}"))?;
-        let cap = LinearCapModel::fit(&Extractor::new(array)).map_err(|e| format!("fit: {e}"))?;
+        let cap =
+            LinearCapModel::fit(&Extractor::new(self.array()?)).map_err(|e| format!("fit: {e}"))?;
         let stream = match self.stream {
             StreamSpec::Sequential(p) => SequentialSource::new(n, p)
                 .map_err(|e| format!("stream: {e}"))?
@@ -236,8 +282,9 @@ impl ExplainSpec {
             .map_err(|e| format!("problem: {e}"))
     }
 
-    /// Resolves the explained assignment: either a method's output or
-    /// an explicit compact-form permutation string.
+    /// Resolves the explained assignment: either a method's output, with
+    /// a quick fixed anneal budget, or an explicit compact-form
+    /// permutation string.
     pub fn resolve_assignment(
         &self,
         problem: &AssignmentProblem,
@@ -248,26 +295,15 @@ impl ExplainSpec {
             let a = parse_assignment(text, problem.n())?;
             return Ok(("explicit".to_string(), a));
         }
-        let a = match method {
-            Method::Identity => SignedPerm::identity(problem.n()),
-            Method::Anneal => {
-                // A quick, fixed budget: explain is an analysis command,
-                // and determinism (seeded, threads=1) matters more than
-                // squeezing the last percent.
-                let opts = optimize::AnnealOptions {
-                    iterations: 4_000,
-                    restarts: 2,
-                    seed: self.seed,
-                    threads: 1,
-                };
-                optimize::anneal(problem, &opts)
-                    .map_err(|e| format!("anneal: {e}"))?
-                    .assignment
-            }
-            Method::Greedy => optimize::greedy_two_opt(problem).assignment,
-            Method::Spiral => systematic::spiral(problem),
-            Method::Sawtooth => systematic::sawtooth(problem),
+        // Explain is an analysis command: determinism (seeded,
+        // threads=1) matters more than squeezing the last percent.
+        let budget = optimize::AnnealOptions {
+            iterations: 4_000,
+            restarts: 2,
+            seed: self.seed,
+            threads: 1,
         };
+        let (a, _) = method.solve(problem, &budget, &TelemetryHandle::disabled())?;
         Ok((method.as_str().to_string(), a))
     }
 }
@@ -290,37 +326,27 @@ pub fn parse_assignment(text: &str, n: usize) -> Result<SignedPerm, String> {
 
 /// Reads a `--compare` operand: the literal `identity`, a JSON file
 /// with an `"assignment"` field (e.g. a saved report), or a file whose
-/// content is the compact form itself.
-///
-/// Returns `Err((exit_code, message))` — unreadable files are runtime
-/// errors (1), malformed content is a usage error (2).
-pub fn load_compare_assignment(
-    operand: &str,
-    n: usize,
-) -> Result<(String, SignedPerm), (i32, String)> {
+/// content is the compact form itself. An unreadable file is a runtime
+/// failure, malformed content a usage error.
+pub fn load_compare_assignment(operand: &str, n: usize) -> Result<(String, SignedPerm), Fail> {
     if operand == "identity" {
         return Ok(("identity".to_string(), SignedPerm::identity(n)));
     }
     let text = std::fs::read_to_string(operand)
-        .map_err(|e| (1, format!("cannot read `{operand}`: {e}")))?;
+        .map_err(|e| Fail::Runtime(format!("cannot read `{operand}`: {e}")))?;
     let trimmed = text.trim();
     let compact = if trimmed.starts_with('{') {
         let value = crate::json::parse(trimmed)
-            .map_err(|e| (2, format!("`{operand}` is not valid JSON: {e}")))?;
+            .map_err(|e| Fail::Usage(format!("`{operand}` is not valid JSON: {e}")))?;
         value
             .get("assignment")
             .and_then(|v| v.as_str())
             .map(str::to_string)
-            .ok_or_else(|| {
-                (
-                    2,
-                    format!("`{operand}` has no string `assignment` field"),
-                )
-            })?
+            .ok_or_else(|| Fail::Usage(format!("`{operand}` has no string `assignment` field")))?
     } else {
         trimmed.to_string()
     };
-    let a = parse_assignment(&compact, n).map_err(|m| (2, format!("`{operand}`: {m}")))?;
+    let a = parse_assignment(&compact, n).map_err(|m| Fail::Usage(format!("`{operand}`: {m}")))?;
     Ok((operand.to_string(), a))
 }
 
@@ -365,7 +391,8 @@ pub fn analyze(
     }
 }
 
-fn pct_of(part: f64, whole: f64) -> f64 {
+/// `part` as a percentage of `whole`; 0 when `whole` is 0.
+pub fn pct_of(part: f64, whole: f64) -> f64 {
     if whole.abs() < 1e-300 {
         0.0
     } else {
@@ -889,7 +916,9 @@ mod tests {
             StreamSpec::Gaussian(10.0, 0.0)
         );
         assert_eq!(StreamSpec::parse("uniform").unwrap(), StreamSpec::Uniform);
-        for bad in ["seq:2", "seq:x", "gauss:-1", "gauss:1,2", "noise"] {
+        // Fig. 3's negative correlations parse.
+        assert!(StreamSpec::parse("gauss:16000,-0.6").is_ok());
+        for bad in ["seq:2", "seq:x", "gauss:-1", "gauss:1,2", "gauss:1,-1", "gauss:nan", "noise"] {
             assert!(StreamSpec::parse(bad).is_err(), "{bad} must not parse");
         }
         assert_eq!(StreamSpec::Sequential(0.02).label(), "seq:0.02");
@@ -1000,8 +1029,8 @@ mod tests {
         let (name, a) = load_compare_assignment("identity", problem.n()).unwrap();
         assert_eq!(name, "identity");
         assert_eq!(a, SignedPerm::identity(9));
-        let (code, _) = load_compare_assignment("/nonexistent/x.json", 9).unwrap_err();
-        assert_eq!(code, 1, "unreadable file is a runtime error");
+        let fail = load_compare_assignment("/nonexistent/x.json", 9).unwrap_err();
+        assert!(matches!(fail, Fail::Runtime(_)), "unreadable file is a runtime error");
     }
 
     #[test]

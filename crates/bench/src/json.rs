@@ -104,14 +104,14 @@ impl std::error::Error for JsonError {}
 /// the case a half-written final `.jsonl` record produces.
 pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
     let mut p = Parser {
-        bytes: input.as_bytes(),
+        text: input,
         pos: 0,
         depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.text.len() {
         return Err(p.error("trailing characters after JSON value"));
     }
     Ok(value)
@@ -124,7 +124,7 @@ pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
     /// Arrays and objects currently open.
     depth: usize,
@@ -139,7 +139,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -183,7 +183,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, text: &str, value: JsonValue) -> Result<JsonValue, JsonError> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
+        if self.text[self.pos..].starts_with(text) {
             self.pos += text.len();
             Ok(value)
         } else {
@@ -273,13 +273,9 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // boundaries are guaranteed valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| {
-                        self.error("invalid UTF-8 in string")
-                    })?;
-                    let c = s.chars().next().expect("peeked non-empty");
+                    // One UTF-8 scalar: every other step consumes ASCII,
+                    // so `pos` is a char boundary of the input `&str`.
+                    let c = self.text[self.pos..].chars().next().expect("peeked non-empty");
                     if (c as u32) < 0x20 {
                         return Err(self.error("raw control character in string"));
                     }
@@ -365,9 +361,8 @@ impl<'a> Parser<'a> {
                 return Err(self.error("expected digits in exponent"));
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("number bytes are ASCII");
-        text.parse::<f64>()
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map(JsonValue::Number)
             .map_err(|_| self.error("number out of range"))
     }

@@ -32,7 +32,8 @@
 //! * [`explain`] — per-TSV power attribution (`tsv3d explain`): ranked
 //!   contribution tables from [`tsv3d_core::attribution`], array
 //!   heatmap SVGs, and assignment `--compare` diff reports showing
-//!   where an optimised assignment's savings come from.
+//!   where an optimised assignment's savings come from; also the one
+//!   problem grammar (`ExplainSpec`) of every problem-building command.
 //! * [`analytics`] — changepoint detection over the ledger and the
 //!   one regression gate: a two-window median split with a rank-based
 //!   significance guard. `tsv3d history --detect` shows each series'
@@ -54,8 +55,9 @@
 //! Everything is std-only: [`json`] is a small hand-rolled JSON
 //! writer/parser, so the subsystem adds no dependencies. The
 //! user-facing entry points are the `tsv3d` observability subcommands
-//! (`bench` through `dash`), one table-driven [`cli::dispatch`] hosted
-//! by the multiplexer binary in `tsv3d-experiments`.
+//! (`bench` through `dash`); [`cli::dispatch`], hosted by the
+//! multiplexer binary in `tsv3d-experiments`, runs them and the
+//! binary's assignment-flow commands through one table-driven parser.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

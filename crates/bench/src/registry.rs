@@ -11,14 +11,15 @@
 //! batch a fixed number of operations per sample; the batch size is
 //! part of the case name.
 
+use crate::explain::{ExplainSpec, GeometryKind, StreamSpec};
 use std::hint::black_box;
 use tsv3d_circuit::mna::Netlist;
 use tsv3d_circuit::{DriverModel, TsvLink};
 use tsv3d_codec::{Correlator, CouplingInvert, GrayCodec};
-use tsv3d_core::{optimize, AssignmentProblem, SignedPerm};
-use tsv3d_model::{Extractor, LinearCapModel, TsvArray, TsvGeometry, TsvRcNetlist};
+use tsv3d_core::{optimize, SignedPerm};
+use tsv3d_model::{Extractor, TsvArray, TsvGeometry, TsvRcNetlist};
 use tsv3d_stats::gen::{GaussianSource, SequentialSource};
-use tsv3d_stats::{BitStream, SwitchingStats};
+use tsv3d_stats::BitStream;
 use tsv3d_telemetry::TelemetryHandle;
 
 /// The measured body of one case, produced fresh by its setup.
@@ -62,7 +63,7 @@ pub fn cases() -> Vec<BenchCase> {
             area: "core",
             about: "simulated-annealing search (4k iters x 2 restarts) on a 3x3 sequential problem",
             setup: |_cfg| {
-                let problem = sequential_problem(3, 0.02, 8_000, 77);
+                let problem = SEQ_3X3.build_problem().expect("bench problem builds");
                 Box::new(move |tel| {
                     let r = optimize::anneal_with_telemetry(&problem, &quick_anneal(), tel)
                         .expect("anneal budget is non-empty");
@@ -75,7 +76,7 @@ pub fn cases() -> Vec<BenchCase> {
             area: "core",
             about: "simulated-annealing search (4k iters x 2 restarts) on a 4x4 gaussian problem",
             setup: |_cfg| {
-                let problem = gaussian_problem(4, 3_000.0, 0.4, 8_000, 42);
+                let problem = GAUSS_4X4.build_problem().expect("bench problem builds");
                 Box::new(move |tel| {
                     let r = optimize::anneal_with_telemetry(&problem, &quick_anneal(), tel)
                         .expect("anneal budget is non-empty");
@@ -88,7 +89,7 @@ pub fn cases() -> Vec<BenchCase> {
             area: "core",
             about: "engine contract pin: serial, parallel and pulse-observed anneal must return bit-identical results",
             setup: |cfg| {
-                let problem = gaussian_problem(4, 3_000.0, 0.4, 8_000, 42);
+                let problem = GAUSS_4X4.build_problem().expect("bench problem builds");
                 let threads = cfg.threads;
                 Box::new(move |tel| {
                     let serial = optimize::AnnealOptions {
@@ -141,7 +142,7 @@ pub fn cases() -> Vec<BenchCase> {
             area: "core",
             about: "large-bundle annealing (20k iters x 4 restarts) on a 6x6 gaussian problem, threads=1",
             setup: |_cfg| {
-                let problem = gaussian_problem(6, 1.7e10, 0.4, 8_000, 42);
+                let problem = GAUSS_6X6.build_problem().expect("bench problem builds");
                 Box::new(move |tel| {
                     let r = optimize::anneal_with_telemetry(&problem, &large_anneal(1), tel)
                         .expect("anneal budget is non-empty");
@@ -154,7 +155,7 @@ pub fn cases() -> Vec<BenchCase> {
             area: "core",
             about: "the same 6x6 workload fanned over the --threads worker pool (default 4)",
             setup: |cfg| {
-                let problem = gaussian_problem(6, 1.7e10, 0.4, 8_000, 42);
+                let problem = GAUSS_6X6.build_problem().expect("bench problem builds");
                 let threads = cfg.threads;
                 Box::new(move |tel| {
                     let r =
@@ -169,7 +170,7 @@ pub fn cases() -> Vec<BenchCase> {
             area: "core",
             about: "branch-and-bound search (capped at 300k nodes) on a 3x3 sequential problem",
             setup: |_cfg| {
-                let problem = sequential_problem(3, 0.02, 8_000, 77);
+                let problem = SEQ_3X3.build_problem().expect("bench problem builds");
                 let options = optimize::BnbOptions {
                     node_limit: 300_000,
                 };
@@ -186,7 +187,7 @@ pub fn cases() -> Vec<BenchCase> {
             area: "core",
             about: "deterministic greedy 2-opt local search on a 4x4 gaussian problem",
             setup: |_cfg| {
-                let problem = gaussian_problem(4, 3_000.0, 0.4, 8_000, 42);
+                let problem = GAUSS_4X4.build_problem().expect("bench problem builds");
                 Box::new(move |tel| {
                     let r = optimize::greedy_two_opt(&problem);
                     tel.add("bench.greedy_runs", 1);
@@ -199,7 +200,7 @@ pub fn cases() -> Vec<BenchCase> {
             area: "core",
             about: "incrementally-priced P + λ·X annealing (4k iters x 2 restarts) on a 4x4 gaussian problem",
             setup: |_cfg| {
-                let problem = gaussian_problem(4, 3_000.0, 0.4, 8_000, 42);
+                let problem = GAUSS_4X4.build_problem().expect("bench problem builds");
                 Box::new(move |tel| {
                     let objective = optimize::PowerCrosstalkObjective::new(&problem, 0.5);
                     let r = optimize::anneal_with_objective(&problem, &objective, &quick_anneal())
@@ -214,7 +215,7 @@ pub fn cases() -> Vec<BenchCase> {
             area: "core",
             about: "256 full <T',C'> power evaluations (Eq. 10 objective) on a 4x4 problem",
             setup: |_cfg| {
-                let problem = gaussian_problem(4, 3_000.0, 0.4, 8_000, 42);
+                let problem = GAUSS_4X4.build_problem().expect("bench problem builds");
                 let assignment = SignedPerm::identity(16);
                 Box::new(move |tel| {
                     let mut acc = 0.0;
@@ -231,7 +232,7 @@ pub fn cases() -> Vec<BenchCase> {
             area: "core",
             about: "1024 incremental swap/flip delta evaluations (the anneal inner loop) on 4x4",
             setup: |_cfg| {
-                let problem = gaussian_problem(4, 3_000.0, 0.4, 8_000, 42);
+                let problem = GAUSS_4X4.build_problem().expect("bench problem builds");
                 let assignment = SignedPerm::identity(16);
                 Box::new(move |tel| {
                     let mut acc = 0.0;
@@ -382,37 +383,24 @@ fn large_anneal(threads: usize) -> optimize::AnnealOptions {
     }
 }
 
-fn cap_model(side: usize) -> LinearCapModel {
-    let array =
-        TsvArray::new(side, side, TsvGeometry::wide_2018()).expect("bench geometry is valid");
-    LinearCapModel::fit(&Extractor::new(array)).expect("extraction of a valid array succeeds")
+/// A seeded `side`×`side` problem on the wide-pitch geometry.
+const fn wide(side: usize, stream: StreamSpec, seed: u64) -> ExplainSpec {
+    ExplainSpec {
+        rows: side,
+        cols: side,
+        geometry: GeometryKind::Wide,
+        stream,
+        cycles: 8_000,
+        seed,
+    }
 }
 
-fn sequential_problem(
-    side: usize,
-    branch_p: f64,
-    cycles: usize,
-    seed: u64,
-) -> AssignmentProblem {
-    let stream = SequentialSource::new(side * side, branch_p)
-        .expect("valid width")
-        .generate(seed, cycles)
-        .expect("generation succeeds");
-    AssignmentProblem::new(SwitchingStats::from_stream(&stream), cap_model(side))
-        .expect("stream width matches the array")
-}
-
-fn gaussian_problem(
-    side: usize,
-    sigma: f64,
-    rho: f64,
-    cycles: usize,
-    seed: u64,
-) -> AssignmentProblem {
-    let stream = gaussian_stream(side * side, sigma, rho, cycles, seed);
-    AssignmentProblem::new(SwitchingStats::from_stream(&stream), cap_model(side))
-        .expect("stream width matches the array")
-}
+/// The sequential 3×3 problem of the anneal and B&B search cases.
+const SEQ_3X3: ExplainSpec = wide(3, StreamSpec::Sequential(0.02), 77);
+/// The Gaussian 4×4 problem of most core cases.
+const GAUSS_4X4: ExplainSpec = wide(4, StreamSpec::Gaussian(3_000.0, 0.4), 42);
+/// The large-bundle Gaussian 6×6 problem.
+const GAUSS_6X6: ExplainSpec = wide(6, StreamSpec::Gaussian(1.7e10, 0.4), 42);
 
 fn gaussian_stream(width: usize, sigma: f64, rho: f64, cycles: usize, seed: u64) -> BitStream {
     GaussianSource::new(width, sigma)

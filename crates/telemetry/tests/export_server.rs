@@ -1,10 +1,11 @@
 //! Socket-level tests of the `export::MetricsServer` HTTP listener:
 //! endpoint routing, the HEAD and Content-Length contract, the
-//! malformed-input contract (400/404/405), and concurrent scrapes
-//! against a live registry.
+//! malformed-input contract (400/404/405, also over arbitrary request
+//! heads), and concurrent scrapes against a live registry.
 
+use proptest::prelude::*;
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -21,13 +22,15 @@ fn start_with_dash(tel: &TelemetryHandle, dash: DashHtml) -> MetricsServer {
         .expect("bind an ephemeral port")
 }
 
-/// Sends raw bytes and returns the full response text.
+/// Sends raw bytes, closes the write side (so the server never waits
+/// for more of the head) and returns the full response text.
 fn raw_request(server: &MetricsServer, request: &[u8]) -> String {
     let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(5)))
         .unwrap();
     stream.write_all(request).expect("send request");
+    stream.shutdown(Shutdown::Write).expect("close the write side");
     let mut response = String::new();
     let _ = stream.read_to_string(&mut response);
     response
@@ -191,6 +194,49 @@ fn malformed_request_lines_get_400() {
     let response = get(&server, "/healthz");
     assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
     server.shutdown();
+}
+
+/// What arbitrary request heads are drawn from: methods, targets,
+/// versions, separators and line ends.
+const HEAD_TOKENS: [&str; 20] = [
+    "GET", "HEAD", "POST", "get", " ", "\t", "/", "/metrics", "/healthz", "/runs", "/progress",
+    "/dash", "/nope", "?q=1", "HTTP/1.1", "HTTP/", "FTP/1.0", ":", "\r\n", "\n",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn arbitrary_request_heads_get_a_status_and_leave_the_server_up(
+        heads in prop::collection::vec(
+            prop::collection::vec((0..HEAD_TOKENS.len() + 2, any::<u8>()), 0..24),
+            1..6,
+        ),
+    ) {
+        let tel = TelemetryHandle::with_sink(Box::new(NullSink));
+        let server = start(&tel, None);
+        for head in heads {
+            // Mostly HTTP tokens, now and then an arbitrary byte.
+            let mut bytes = Vec::new();
+            for (pick, byte) in head {
+                match HEAD_TOKENS.get(pick) {
+                    Some(token) => bytes.extend_from_slice(token.as_bytes()),
+                    None => bytes.push(byte),
+                }
+            }
+            let response = raw_request(&server, &bytes);
+            let status = response.get(..12).unwrap_or_default();
+            prop_assert!(
+                ["HTTP/1.1 200", "HTTP/1.1 400", "HTTP/1.1 404", "HTTP/1.1 405"].contains(&status),
+                "head {:?} got {:?}",
+                String::from_utf8_lossy(&bytes),
+                response
+            );
+        }
+        let health = get(&server, "/healthz");
+        prop_assert!(health.starts_with("HTTP/1.1 200 OK") && body_of(&health) == "ok\n");
+        server.shutdown();
+    }
 }
 
 #[test]
