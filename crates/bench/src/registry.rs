@@ -1,6 +1,10 @@
 //! The built-in benchmark cases: one per hot path the workspace cares
 //! about, spanning the optimisers (`tsv3d-core`), the transient engine
-//! (`tsv3d-circuit`) and the reference codecs (`tsv3d-codec`).
+//! (`tsv3d-circuit`), the reference codecs (`tsv3d-codec`) and the
+//! switching-statistics estimator (`tsv3d-stats`). Stage cases carry
+//! the repository benchmark's layer name as a prefix
+//! (`stats.from_stream_…`), so a layer that moves in a traced benchmark
+//! run maps to one case.
 //!
 //! Each case separates *setup* (problem/netlist/stream construction,
 //! untimed) from the *body* the harness measures. Workloads are fixed
@@ -19,7 +23,7 @@ use tsv3d_codec::{Correlator, CouplingInvert, GrayCodec};
 use tsv3d_core::{optimize, SignedPerm};
 use tsv3d_model::{Extractor, TsvArray, TsvGeometry, TsvRcNetlist};
 use tsv3d_stats::gen::{GaussianSource, SequentialSource};
-use tsv3d_stats::BitStream;
+use tsv3d_stats::{BitStream, SwitchingStats};
 use tsv3d_telemetry::TelemetryHandle;
 
 /// The measured body of one case, produced fresh by its setup.
@@ -47,7 +51,7 @@ impl Default for BenchConfig {
 pub struct BenchCase {
     /// Unique name — also the `BENCH_<name>.json` artifact stem.
     pub name: &'static str,
-    /// Subsystem the case exercises (`core`, `circuit`, `codec`).
+    /// Subsystem the case exercises (`core`, `circuit`, `codec`, `stats`).
     pub area: &'static str,
     /// One-line description for `tsv3d bench --list`.
     pub about: &'static str,
@@ -353,6 +357,24 @@ pub fn cases() -> Vec<BenchCase> {
                 })
             },
         },
+        BenchCase {
+            name: "stats.from_stream_seq25_30k",
+            area: "stats",
+            about: "switching statistics of a 30k-word, 25-bit sequential stream (p = 0.1, ~3 toggles/word)",
+            setup: |_cfg| {
+                let stream = SequentialSource::new(25, 0.1)
+                    .expect("width 25 is supported")
+                    .generate(3, 30_000)
+                    .expect("generation succeeds");
+                stats_body(stream)
+            },
+        },
+        BenchCase {
+            name: "stats.from_stream_gauss16_30k",
+            area: "stats",
+            about: "switching statistics of a 30k-word, 16-bit gaussian stream (sigma 1000, rho 0, ~8 toggles/word)",
+            setup: |_cfg| stats_body(gaussian_stream(16, 1_000.0, 0.0, 30_000, 3)),
+        },
     ]
 }
 
@@ -409,6 +431,15 @@ fn gaussian_stream(width: usize, sigma: f64, rho: f64, cycles: usize, seed: u64)
         .expect("generation succeeds")
 }
 
+/// Times `SwitchingStats::from_stream` over `stream`.
+fn stats_body(stream: BitStream) -> BenchBody {
+    Box::new(move |tel| {
+        let stats = SwitchingStats::from_stream(&stream);
+        tel.add("bench.stream_words", stream.len() as u64);
+        black_box(stats);
+    })
+}
+
 /// An `n`-node grounded RC ladder with one switched drive at node 1 —
 /// a synthetic stand-in for a TSV bundle netlist that scales the dense
 /// LU work predictably.
@@ -443,14 +474,14 @@ mod tests {
         assert_eq!(names.len(), cases.len(), "duplicate case name");
         for case in &cases {
             assert!(
-                ["core", "circuit", "codec"].contains(&case.area),
+                ["core", "circuit", "codec", "stats"].contains(&case.area),
                 "unknown area `{}` for `{}`",
                 case.area,
                 case.name
             );
             assert!(!case.about.is_empty());
         }
-        for area in ["core", "circuit", "codec"] {
+        for area in ["core", "circuit", "codec", "stats"] {
             assert!(
                 cases.iter().any(|c| c.area == area),
                 "no case covers `{area}`"
