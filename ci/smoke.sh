@@ -1,17 +1,18 @@
 #!/usr/bin/env bash
-# End-to-end smoke run of every `tsv3d` observability subcommand, the
-# telemetry pipeline and the benchmark package, as CI's smoke job runs
-# it. Every check blocks unless it is marked warn-only; a warn-only
-# check prints a warning and the run goes on.
+# End-to-end smoke run of the paper's 14 result tables, every `tsv3d`
+# observability subcommand, the telemetry pipeline and the benchmark
+# package, as CI's smoke job runs it. Every check blocks unless it is
+# marked warn-only; a warn-only check prints a warning and the run goes
+# on.
 #
 #   ci/smoke.sh [OUT_DIR]
 #
-# Everything the run writes (BENCH files, ledger copies, traces, pulse
-# profiles, SVGs, dashboards) lands under OUT_DIR, default a fresh
-# temporary directory, so the checkout stays clean. Run from anywhere;
-# it builds the release binaries first. Checks read output from files,
-# never through `| grep -q`: grep quitting early would break the
-# producer's pipe and, under pipefail, fail the check.
+# Everything the run writes (regenerated tables, BENCH files, ledger
+# copies, traces, pulse profiles, SVGs, dashboards) lands under OUT_DIR,
+# default a fresh temporary directory, so the checkout stays clean. Run
+# from anywhere; it builds the release binaries first. Checks read
+# output from files, never through `| grep -q`: grep quitting early
+# would break the producer's pipe and, under pipefail, fail the check.
 set -euo pipefail
 
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
@@ -53,6 +54,27 @@ serve() {
 step "Build (release)"
 cargo build --release -p tsv3d-experiments
 echo "writing to $OUT"
+
+# The tables EXPERIMENTS.md's regenerate loop writes. Their committed
+# copies under results/ must regenerate byte for byte up to a telemetry
+# footer; `(N rows; +X s wall)` lines appear only in traced runs.
+ARTIFACTS=(tab_capmodel tab_overhead fig2_sequential fig3_gaussian fig4_image_sensor
+  fig5_mems fig6_circuit tab_businvert tab_crosstalk tab_geometry tab_variation
+  tab_pareto tab_phases tab_redundancy)
+# body FILE: FILE without its telemetry footer and progress lines.
+body() { sed -e '/^telemetry summary/,$d' -e '/^([0-9]* rows; +[0-9.]* s wall)$/d' "$1"; }
+
+step "Paper artifacts regenerate (results/*.txt)"
+mkdir -p "$OUT/artifacts"
+for b in "${ARTIFACTS[@]}"; do
+  (cd "$OUT/artifacts" && env -u TSV3D_TELEMETRY -u TSV3D_METRICS_ADDR \
+    "$ROOT/target/release/$b" > "$b.txt")
+  body "$OUT/artifacts/$b.txt" > "$OUT/artifacts/$b.got"
+  body "results/$b.txt" > "$OUT/artifacts/$b.want"
+  cmp "$OUT/artifacts/$b.want" "$OUT/artifacts/$b.got" ||
+    fail "$b no longer regenerates results/$b.txt"
+done
+echo "all ${#ARTIFACTS[@]} tables match their committed copies"
 
 step "Telemetry run, trace rollup and flamegraph"
 (cd "$OUT" && TSV3D_TELEMETRY=json "$ROOT/target/release/fig3_gaussian" --quick > /dev/null)

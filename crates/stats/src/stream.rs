@@ -37,9 +37,7 @@ impl BitStream {
     ///
     /// [`StatsError::InvalidWidth`] unless `1 <= width <= 64`.
     pub fn new(width: usize) -> Result<Self, StatsError> {
-        if width == 0 || width > 64 {
-            return Err(StatsError::InvalidWidth { width });
-        }
+        check_width(width)?;
         Ok(Self {
             width,
             words: Vec::new(),
@@ -159,6 +157,7 @@ impl BitStream {
     /// ```
     pub fn with_stable_lines(&self, values: &[bool]) -> Result<Self, StatsError> {
         let new_width = self.width + values.len();
+        check_width(new_width)?;
         let mut high = 0u64;
         for (k, &v) in values.iter().enumerate() {
             if v {
@@ -242,6 +241,7 @@ impl BitStream {
             return Err(StatsError::NoStreams);
         }
         let total_width: usize = streams.iter().map(|s| s.width).sum();
+        check_width(total_width)?;
         let min_len = streams.iter().map(|s| s.len()).min().unwrap_or(0);
         let mut words = Vec::with_capacity(min_len);
         for t in 0..min_len {
@@ -269,6 +269,15 @@ impl BitStream {
         let ones = self.words.iter().filter(|w| (**w >> i) & 1 == 1).count();
         ones as f64 / self.words.len() as f64
     }
+}
+
+/// [`StatsError::InvalidWidth`] unless `1 <= width <= 64`. Combinators
+/// call it before they shift a word into place.
+fn check_width(width: usize) -> Result<(), StatsError> {
+    if width == 0 || width > 64 {
+        return Err(StatsError::InvalidWidth { width });
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -368,6 +377,43 @@ mod tests {
         assert!(matches!(
             BitStream::pack(&[&a, &b]),
             Err(StatsError::InvalidWidth { width: 80 })
+        ));
+    }
+
+    #[test]
+    fn pack_past_64_bits_is_an_invalid_width_not_a_shift_overflow() {
+        let s64 = BitStream::from_words(64, vec![u64::MAX]).unwrap();
+        let s1 = BitStream::from_words(1, vec![1]).unwrap();
+        assert!(matches!(
+            BitStream::pack(&[&s64, &s1]),
+            Err(StatsError::InvalidWidth { width: 65 })
+        ));
+    }
+
+    #[test]
+    fn pack_of_three_40_bit_streams_is_an_invalid_width() {
+        let s = BitStream::from_words(40, vec![1]).unwrap();
+        assert!(matches!(
+            BitStream::pack(&[&s, &s, &s]),
+            Err(StatsError::InvalidWidth { width: 120 })
+        ));
+    }
+
+    #[test]
+    fn stable_line_above_a_64_bit_stream_is_an_invalid_width() {
+        let s = BitStream::from_words(64, vec![0]).unwrap();
+        assert!(matches!(
+            s.with_stable_lines(&[true]),
+            Err(StatsError::InvalidWidth { width: 65 })
+        ));
+    }
+
+    #[test]
+    fn six_stable_lines_above_a_60_bit_stream_are_an_invalid_width() {
+        let s = BitStream::from_words(60, vec![0]).unwrap();
+        assert!(matches!(
+            s.with_stable_lines(&[false, false, false, false, false, true]),
+            Err(StatsError::InvalidWidth { width: 66 })
         ));
     }
 

@@ -48,54 +48,58 @@ impl SwitchingStats {
     ///
     /// Streams with fewer than two words have no transitions; all
     /// switching quantities are zero then.
+    ///
+    /// # Cost
+    ///
+    /// One pass over the words that visits only the set bits of each
+    /// rising (`!prev & cur`) and falling (`prev & !cur`) transition
+    /// word, plus, per 64 transitions, `n` popcounts for the 1-bit
+    /// counts and at most `n(n+1)/2` popcount pairs: every toggle sets
+    /// one bit of its bit's rising or falling `u64`, and each pair of
+    /// bits that toggled in those 64 transitions counts its same- and
+    /// opposite-direction coincidences. Scratch is `O(n²)`, whatever
+    /// the stream length.
+    ///
+    /// # Exactness
+    ///
+    /// `Δb_i Δb_j` is `+1` for a same-direction coincidence and `−1`
+    /// for an opposite one, so `Tc = (same − opp)/T`,
+    /// `E{|Δb_i Δb_j|} = (same + opp)/T` and `Ts` is their diagonal,
+    /// over the `T = len − 1` transitions. Every count is an integer
+    /// below 2⁵³ and is scaled exactly as a running `f64` sum of the
+    /// per-transition terms would be, so the result is bit-identical to
+    /// accumulating `Δb_i Δb_j` transition by transition.
     pub fn from_stream(stream: &BitStream) -> Self {
-        let n = stream.width();
-        let mut ts = vec![0.0; n];
-        let mut tc = Matrix::zeros(n);
-        let mut probs = vec![0.0; n];
+        Self::from_words(stream.width(), stream.words())
+    }
 
-        let len = stream.len();
-        if len > 0 {
-            for (i, p) in probs.iter_mut().enumerate() {
-                *p = stream.bit_probability(i);
-            }
+    /// [`from_stream`](Self::from_stream) of `width`-bit words that fit
+    /// their width.
+    fn from_words(n: usize, words: &[u64]) -> Self {
+        let counts = Counts::of(n, words);
+        let len = words.len();
+        let probs = if len > 0 {
+            counts.ones.iter().map(|&c| c as f64 / len as f64).collect()
+        } else {
+            vec![0.0; n]
+        };
+        if len < 2 {
+            return Self {
+                ts: vec![0.0; n],
+                tc: Matrix::zeros(n),
+                probs,
+                joint: Some(Matrix::zeros(n)),
+            };
         }
-        let mut joint = Matrix::zeros(n);
-        if len >= 2 {
-            let transitions = (len - 1) as f64;
-            // Δb_t per bit: +1, 0 or −1.
-            let mut delta = vec![0i32; n];
-            for t in 1..len {
-                let prev = stream.word(t - 1);
-                let cur = stream.word(t);
-                for (i, d) in delta.iter_mut().enumerate() {
-                    let pb = (prev >> i) & 1;
-                    let cb = (cur >> i) & 1;
-                    *d = cb as i32 - pb as i32;
-                }
-                for i in 0..n {
-                    if delta[i] != 0 {
-                        ts[i] += 1.0;
-                        for j in 0..n {
-                            if delta[j] != 0 {
-                                tc[(i, j)] += (delta[i] * delta[j]) as f64;
-                                joint[(i, j)] += 1.0;
-                            }
-                        }
-                    }
-                }
-            }
-            for v in ts.iter_mut() {
-                *v /= transitions;
-            }
-            tc = tc.scale(1.0 / transitions);
-            joint = joint.scale(1.0 / transitions);
-        }
+        let transitions = (len - 1) as f64;
+        // The matrices multiply by the reciprocal, as `Matrix::scale`
+        // does; `Ts` divides.
+        let scale = 1.0 / transitions;
         Self {
-            ts,
-            tc,
+            ts: (0..n).map(|i| counts.joint(i, i) / transitions).collect(),
+            tc: Matrix::from_fn(n, |i, j| counts.coupling(i, j) * scale),
             probs,
-            joint: Some(joint),
+            joint: Some(Matrix::from_fn(n, |i, j| counts.joint(i, j) * scale)),
         }
     }
 
@@ -112,14 +116,12 @@ impl SwitchingStats {
     /// Panics if `window` is zero.
     pub fn from_stream_windowed(stream: &BitStream, window: usize) -> Vec<Self> {
         assert!(window > 0, "window must be at least one cycle");
+        let words = stream.words();
         let mut out = Vec::new();
         let mut start = 0;
-        while start + 1 < stream.len() {
-            let end = (start + window).min(stream.len());
-            let words: Vec<u64> = (start..end).map(|t| stream.word(t)).collect();
-            let slice = BitStream::from_words(stream.width(), words)
-                .expect("slice of a valid stream is valid");
-            out.push(Self::from_stream(&slice));
+        while start + 1 < words.len() {
+            let end = (start + window).min(words.len());
+            out.push(Self::from_words(stream.width(), &words[start..end]));
             start = end;
         }
         out
@@ -255,6 +257,115 @@ impl SwitchingStats {
     pub fn tc_matrix(&self) -> Matrix {
         let n = self.n();
         Matrix::from_fn(n, |i, j| if i == j { 0.0 } else { self.tc[(i, j)] })
+    }
+}
+
+/// Integer counts behind [`SwitchingStats::from_stream`], with pair
+/// `i ≤ j` stored at `i * n + j`.
+struct Counts {
+    n: usize,
+    /// Words with bit `i` set.
+    ones: Vec<u64>,
+    /// Transitions in which bits `i` and `j` toggle in the same
+    /// direction; the diagonal counts bit `i`'s toggles.
+    same: Vec<u64>,
+    /// Transitions in which bits `i` and `j` toggle in opposite
+    /// directions.
+    opp: Vec<u64>,
+}
+
+impl Counts {
+    /// Counts `n`-bit `words`, 64 transitions (one tile of 65 words) at
+    /// a time; the last tile is partial.
+    fn of(n: usize, words: &[u64]) -> Self {
+        let mut counts = Counts {
+            n,
+            ones: vec![0; n],
+            same: vec![0; n * n],
+            opp: vec![0; n * n],
+        };
+        let Some(&first) = words.first() else {
+            return counts;
+        };
+        for_each_set_bit(first, |i| counts.ones[i] += 1);
+        // Bit `k` of `rising[i]` (`falling[i]`) is set when bit `i`
+        // rises (falls) on the tile's `k`-th transition, from its word
+        // `k` to its word `k + 1`.
+        let mut rising = [0u64; 64];
+        let mut falling = [0u64; 64];
+        for start in (0..words.len() - 1).step_by(64) {
+            let tile = &words[start..words.len().min(start + 65)];
+            let mut toggled = 0;
+            for (k, pair) in tile.windows(2).enumerate() {
+                let (prev, cur) = (pair[0], pair[1]);
+                for_each_set_bit(!prev & cur, |i| rising[i] |= 1 << k);
+                for_each_set_bit(prev & !cur, |i| falling[i] |= 1 << k);
+                toggled |= prev ^ cur;
+            }
+            counts.add_ones(tile, &rising, &falling);
+            counts.add_tile(toggled, &mut rising, &mut falling);
+        }
+        counts
+    }
+
+    /// Adds the ones of every word of `tile` after its first. Bit `i`
+    /// of word `k + 1` is bit `i` of the first word flipped by the
+    /// parity of its toggles on transitions `0..=k`: a running XOR of
+    /// its toggle plane.
+    fn add_ones(&mut self, tile: &[u64], rising: &[u64; 64], falling: &[u64; 64]) {
+        let later_words = u64::MAX >> (65 - tile.len());
+        for (i, ones) in self.ones.iter_mut().enumerate() {
+            let mut value = rising[i] | falling[i];
+            for shift in [1, 2, 4, 8, 16, 32] {
+                value ^= value << shift;
+            }
+            if (tile[0] >> i) & 1 == 1 {
+                value = !value;
+            }
+            *ones += u64::from((value & later_words).count_ones());
+        }
+    }
+
+    /// Adds one tile's coincidences of every pair `i ≤ j` of `toggled`
+    /// bits and clears their planes. A bit never rises and falls on one
+    /// transition, so the two same-direction terms (and the two
+    /// opposite ones) are disjoint and one popcount counts both.
+    fn add_tile(&mut self, toggled: u64, rising: &mut [u64; 64], falling: &mut [u64; 64]) {
+        let mut rows = toggled;
+        while rows != 0 {
+            let i = rows.trailing_zeros() as usize;
+            let (ri, fi) = (rising[i], falling[i]);
+            let row = i * self.n;
+            for_each_set_bit(rows, |j| {
+                let (rj, fj) = (rising[j], falling[j]);
+                self.same[row + j] += u64::from(((ri & rj) | (fi & fj)).count_ones());
+                self.opp[row + j] += u64::from(((ri & fj) | (fi & rj)).count_ones());
+            });
+            rising[i] = 0;
+            falling[i] = 0;
+            rows &= rows - 1;
+        }
+    }
+
+    /// `Σ Δb_i Δb_j` over the transitions.
+    fn coupling(&self, i: usize, j: usize) -> f64 {
+        let k = i.min(j) * self.n + i.max(j);
+        (self.same[k] as i64 - self.opp[k] as i64) as f64
+    }
+
+    /// `Σ |Δb_i Δb_j|` over the transitions; bit `i`'s toggles for
+    /// `i == j`.
+    fn joint(&self, i: usize, j: usize) -> f64 {
+        let k = i.min(j) * self.n + i.max(j);
+        (self.same[k] + self.opp[k]) as f64
+    }
+}
+
+/// Calls `f` with the index of every set bit of `word`, lowest first.
+fn for_each_set_bit(mut word: u64, mut f: impl FnMut(usize)) {
+    while word != 0 {
+        f(word.trailing_zeros() as usize);
+        word &= word - 1;
     }
 }
 
@@ -482,5 +593,180 @@ mod windowed_tests {
     fn zero_window_panics() {
         let s = BitStream::from_words(4, vec![0, 1]).unwrap();
         let _ = SwitchingStats::from_stream_windowed(&s, 0);
+    }
+}
+
+#[cfg(test)]
+mod kernel_tests {
+    use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The estimator the popcount kernel replaced: a ±1 delta per bit
+    /// and transition, summed in `f64`, and one more pass over the
+    /// stream per bit for the probabilities. The kernel must match it
+    /// bit for bit.
+    fn reference(stream: &BitStream) -> SwitchingStats {
+        let n = stream.width();
+        let mut ts = vec![0.0; n];
+        let mut tc = Matrix::zeros(n);
+        let mut probs = vec![0.0; n];
+
+        let len = stream.len();
+        if len > 0 {
+            for (i, p) in probs.iter_mut().enumerate() {
+                *p = stream.bit_probability(i);
+            }
+        }
+        let mut joint = Matrix::zeros(n);
+        if len >= 2 {
+            let transitions = (len - 1) as f64;
+            // Δb_t per bit: +1, 0 or −1.
+            let mut delta = vec![0i32; n];
+            for t in 1..len {
+                let prev = stream.word(t - 1);
+                let cur = stream.word(t);
+                for (i, d) in delta.iter_mut().enumerate() {
+                    let pb = (prev >> i) & 1;
+                    let cb = (cur >> i) & 1;
+                    *d = cb as i32 - pb as i32;
+                }
+                for i in 0..n {
+                    if delta[i] != 0 {
+                        ts[i] += 1.0;
+                        for j in 0..n {
+                            if delta[j] != 0 {
+                                tc[(i, j)] += (delta[i] * delta[j]) as f64;
+                                joint[(i, j)] += 1.0;
+                            }
+                        }
+                    }
+                }
+            }
+            for v in ts.iter_mut() {
+                *v /= transitions;
+            }
+            tc = tc.scale(1.0 / transitions);
+            joint = joint.scale(1.0 / transitions);
+        }
+        SwitchingStats {
+            ts,
+            tc,
+            probs,
+            joint: Some(joint),
+        }
+    }
+
+    /// Every `Ts`, probability, `Tc` and joint entry, named and
+    /// indexed, as raw bits.
+    fn entries(st: &SwitchingStats) -> Vec<(&'static str, usize, usize, u64)> {
+        let mut out = Vec::new();
+        for i in 0..st.n() {
+            out.push(("Ts", i, i, st.self_switching(i).to_bits()));
+            out.push(("p", i, i, st.bit_probability(i).to_bits()));
+            for j in 0..st.n() {
+                out.push(("Tc", i, j, st.coupling_switching(i, j).to_bits()));
+                out.push(("joint", i, j, st.joint_switching(i, j).to_bits()));
+            }
+        }
+        out
+    }
+
+    /// `Err` naming the first entry of `got` whose bits differ from
+    /// `want`'s.
+    fn bit_identical(got: &SwitchingStats, want: &SwitchingStats) -> Result<(), String> {
+        if got.n() != want.n() || got.joint.is_some() != want.joint.is_some() {
+            return Err(format!("shape differs: {got:?} vs {want:?}"));
+        }
+        let (got, want) = (entries(got), entries(want));
+        match got.iter().zip(&want).find(|(g, w)| g != w) {
+            Some((g, w)) => Err(format!("{g:?} differs from {w:?}")),
+            None => Ok(()),
+        }
+    }
+
+    /// A `width`-bit stream of `len` seeded words. `kind` 0 is sparse
+    /// (the AND of three random words), 1 uniform, and 2 dense: sparse
+    /// words with every other one inverted, so most bits toggle on
+    /// most transitions.
+    fn random_stream(width: usize, len: usize, kind: usize, seed: u64) -> BitStream {
+        let mask = u64::MAX >> (64 - width);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let words = (0..len)
+            .map(|t| {
+                let (a, b, c): (u64, u64, u64) = (rng.gen(), rng.gen(), rng.gen());
+                let word = match kind {
+                    0 => a & b & c,
+                    1 => a,
+                    _ if t % 2 == 1 => !(a & b & c),
+                    _ => a & b & c,
+                };
+                word & mask
+            })
+            .collect();
+        BitStream::from_words(width, words).expect("masked words fit")
+    }
+
+    /// Lengths around the 64-transition tiles: empty, one word, one
+    /// transition, one tile ± 1 and two tiles ± 1 (in words), and the
+    /// longest.
+    const TILE_EDGES: [usize; 10] = [0, 1, 2, 63, 64, 65, 127, 128, 129, 300];
+
+    #[test]
+    fn kernel_matches_the_reference_on_every_width_at_tile_edges() {
+        for width in 1..=64 {
+            for kind in 0..3 {
+                for len in TILE_EDGES {
+                    let s = random_stream(width, len, kind, (width * 1000 + len) as u64);
+                    let got = SwitchingStats::from_stream(&s);
+                    if let Err(e) = bit_identical(&got, &reference(&s)) {
+                        panic!("width {width}, len {len}, kind {kind}: {e}");
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn kernel_matches_the_reference_bit_for_bit(
+            width in 1usize..=64,
+            len in 0usize..=300,
+            kind in 0usize..3,
+            seed in any::<u64>(),
+        ) {
+            for len in std::iter::once(len).chain([63, 64, 65, 127, 128, 129]) {
+                let s = random_stream(width, len, kind, seed);
+                let got = SwitchingStats::from_stream(&s);
+                bit_identical(&got, &reference(&s))
+                    .map_err(|e| format!("width {width}, len {len}, kind {kind}: {e}"))?;
+            }
+        }
+
+        #[test]
+        fn windows_equal_the_estimate_of_each_copied_window(
+            width in 1usize..=64,
+            len in 0usize..=300,
+            window in 1usize..=100,
+            kind in 0usize..3,
+            seed in any::<u64>(),
+        ) {
+            let s = random_stream(width, len, kind, seed);
+            let windows = SwitchingStats::from_stream_windowed(&s, window);
+            let mut start = 0;
+            for got in &windows {
+                let end = (start + window).min(len);
+                let copy = BitStream::from_words(width, s.words()[start..end].to_vec())
+                    .expect("a window of a valid stream is valid");
+                bit_identical(got, &SwitchingStats::from_stream(&copy))
+                    .map_err(|e| format!("window {start}..{end}: {e}"))?;
+                start = end;
+            }
+            // Only a tail shorter than two words is left over.
+            prop_assert!(len - start < 2, "{} windows stop at {start} of {len}", windows.len());
+        }
     }
 }
