@@ -708,9 +708,9 @@ mod kernel_tests {
         BitStream::from_words(width, words).expect("masked words fit")
     }
 
-    /// Lengths around the 64-transition tiles: empty, one word, one
-    /// transition, one tile ± 1 and two tiles ± 1 (in words), and the
-    /// longest.
+    /// Stream lengths in words: empty, one word, one transition, the
+    /// lengths around one and two full tiles (65 and 129 words), and
+    /// the longest.
     const TILE_EDGES: [usize; 10] = [0, 1, 2, 63, 64, 65, 127, 128, 129, 300];
 
     #[test]
