@@ -73,8 +73,8 @@ impl SwitchingStats {
         Self::from_words(stream.width(), stream.words())
     }
 
-    /// [`from_stream`](Self::from_stream) of `width`-bit words that fit
-    /// their width.
+    /// [`from_stream`](Self::from_stream) of `n`-bit words, none with a
+    /// bit set at or above `n`.
     fn from_words(n: usize, words: &[u64]) -> Self {
         let counts = Counts::of(n, words);
         let len = words.len();
