@@ -187,6 +187,24 @@ pub fn cases() -> Vec<BenchCase> {
             },
         },
         BenchCase {
+            name: "core.bnb_2x4_proof",
+            area: "core",
+            about: "branch-and-bound run to proof on the exact_2x4 sequential stream (2x4 min, p = 0.01, 20k cycles)",
+            setup: |_cfg| {
+                let problem = SEQ_2X4_MIN.build_problem().expect("bench problem builds");
+                Box::new(move |tel| {
+                    let o = optimize::branch_and_bound_with_telemetry(
+                        &problem,
+                        &optimize::BnbOptions::default(),
+                        tel,
+                    )
+                    .expect("2x4 search starts");
+                    assert!(o.proven_optimal, "2x4 proof ran out of nodes");
+                    black_box(o.result.power);
+                })
+            },
+        },
+        BenchCase {
             name: "greedy_two_opt_4x4",
             area: "core",
             about: "deterministic greedy 2-opt local search on a 4x4 gaussian problem",
@@ -419,6 +437,15 @@ const fn wide(side: usize, stream: StreamSpec, seed: u64) -> ExplainSpec {
 
 /// The sequential 3×3 problem of the anneal and B&B search cases.
 const SEQ_3X3: ExplainSpec = wide(3, StreamSpec::Sequential(0.02), 77);
+/// The sequential 2×4 problem of the `exact_2x4` benchmark workload.
+const SEQ_2X4_MIN: ExplainSpec = ExplainSpec {
+    rows: 2,
+    cols: 4,
+    geometry: GeometryKind::Min,
+    stream: StreamSpec::Sequential(0.01),
+    cycles: 20_000,
+    seed: 3,
+};
 /// The Gaussian 4×4 problem of most core cases.
 const GAUSS_4X4: ExplainSpec = wide(4, StreamSpec::Gaussian(3_000.0, 0.4), 42);
 /// The large-bundle Gaussian 6×6 problem.
