@@ -2,24 +2,43 @@
 //!
 //! Lines are fixed in order of descending total capacitance (most
 //! constrained first) and each tree level chooses the (bit, sign) pair
-//! for one line. Partial costs are exact; the remainder is bounded from
-//! below by exploiting two structural facts of the objective:
+//! for one line, cheapest first. Partial costs are exact. The cost of
+//! the lines not yet placed has a *linear* part, each free line's
+//! diagonal plus its pairs with placed lines, which depends only on the
+//! (bit, sign) that line receives, and a *quadratic* part, the pairs
+//! among free lines. Both are bounded from below:
 //!
-//! * the *switching weight* of a line pair,
+//! * The linear part is priced as one assignment of free bits to free
+//!   lines. Entry (line, bit) is the cheapest allowed sign's exact
+//!   linear cost, and the Hungarian method (O(k³) for k free lines)
+//!   finds the minimum, so no two lines can claim the same cheapest
+//!   bit. This is the Gilmore–Lawler bound of quadratic assignment
+//!   (Gilmore 1962; Lawler 1963). A pinned line carries its pinned bit
+//!   as a fixed term.
+//! * The quadratic part uses two structural facts of the objective: the
+//!   *switching weight* of a line pair,
 //!   `w = Ts_a + Ts_b − 2·s_a·s_b·Tc_ab`, is non-negative (because
-//!   `|Tc_ab| ≤ √(Ts_a·Ts_b)`), and
-//! * every capacitance entry stays positive over the feasible ε range,
+//!   `|Tc_ab| ≤ √(Ts_a·Ts_b)`), and every capacitance entry stays
+//!   positive over the feasible ε range. So each free–free pair
+//!   contributes at least `min_w(free bits) · min_c(pair)`.
 //!
-//! so each undecided pair contributes at least
-//! `min_w(free bits) · min_c(pair)` and each undecided diagonal at least
-//! its per-line minimum. The bound is admissible, hence the search is
-//! exact; a node budget turns it into an anytime algorithm that reports
-//! whether optimality was proven.
+//! The linear costs live in one table per depth: `lin[d]` holds the
+//! exact cost of every remaining (line, bit, sign) placement given the
+//! first `d` placements, and placing a line fills `lin[d + 1]` from
+//! `lin[d]` in O(k²). Move costs are read from the same tables, summed
+//! in the order a fresh sum over the placed prefix would use, so every
+//! candidate cost is exact to the bit. A node allocates nothing. The
+//! bound is admissible, hence the search is exact; a node budget turns
+//! it into an anytime algorithm that reports whether optimality was
+//! proven.
 
 use crate::optimize::OptimizeResult;
 use crate::{AssignmentProblem, CoreError};
 use tsv3d_matrix::SignedPerm;
 use tsv3d_telemetry::{TelemetryHandle, Value};
+
+#[cfg(test)]
+mod reference;
 
 /// Options for [`branch_and_bound`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,21 +68,47 @@ pub struct BnbOutcome {
     pub nodes: u64,
 }
 
+/// Marks a line that carries no pinned bit in [`Searcher::pinned_bit`].
+const UNPINNED: usize = usize::MAX;
+
+/// The `±1.0` signs a bit may take, indexed like the `lin` tables'
+/// sign slot.
+const SIGNS: [f64; 2] = [1.0, -1.0];
+
 struct Searcher<'a> {
     problem: &'a AssignmentProblem,
+    /// Bundle size.
+    n: usize,
     /// Lines in branching order.
     line_order: Vec<usize>,
-    /// `ts[bit]`.
-    ts: Vec<f64>,
-    /// `eps[bit]`.
-    eps: Vec<f64>,
-    /// Pairwise switching-weight minima over sign choices:
-    /// `w_min[a][b] = Ts_a + Ts_b − 2·|Tc_ab|` (0 when inversion of
-    /// either bit is allowed; otherwise sign-restricted).
-    w_min: Vec<Vec<f64>>,
+    /// `pinned_bit[line]`: the bit pinned to `line`, or [`UNPINNED`].
+    pinned_bit: Vec<usize>,
+    /// `bit_pinned[bit]`: whether `bit` is pinned to some line.
+    bit_pinned: Vec<bool>,
+    /// Number of signs bit `b` may take: 2 if invertible, else 1.
+    sign_count: Vec<usize>,
+    /// Pairwise switching-weight minima over sign choices, row-major
+    /// `n×n`: `Ts_a + Ts_b − 2·|Tc_ab|` (sign-restricted when neither
+    /// bit may be inverted), clamped at 0.
+    w_min: Vec<f64>,
+    /// Linear-cost tables, one `n×n×2` layer per depth:
+    /// `lin[d][line][bit][sign]` is the exact cost of placing `(bit,
+    /// sign)` on a line not yet placed, given the first `d` placements
+    /// (the diagonal plus the pairs with placed lines, summed in
+    /// placement order). Only the entries a pin allows are kept.
+    lin: Vec<f64>,
+    /// Candidate moves `(cost, bit, sign)`, `2n` slots per depth.
+    moves: Vec<(f64, usize, f64)>,
+    /// Placements `(line, bit, sign)` of the current path, in order.
+    placed: Vec<(usize, usize, f64)>,
+    /// Bits not yet placed. `swap_remove` and `push` keep it a set;
+    /// its order is the candidate order of equal-cost moves.
+    free_bits: Vec<usize>,
+    hungarian: Hungarian,
     /// Incumbent.
     best_power: f64,
-    best: Option<SignedPerm>,
+    best_line_of_bit: Vec<usize>,
+    best_inverted: Vec<bool>,
     nodes: u64,
     node_limit: u64,
     exhausted: bool,
@@ -80,17 +125,24 @@ struct Searcher<'a> {
 impl<'a> Searcher<'a> {
     fn new(problem: &'a AssignmentProblem, node_limit: u64, tel: &'a TelemetryHandle) -> Self {
         let n = problem.n();
-        let stats = problem.stats();
-        let ts: Vec<f64> = (0..n).map(|i| stats.self_switching(i)).collect();
-        let eps: Vec<f64> = stats.epsilons();
+        let flat = problem.flat();
+        let mut pinned_bit = vec![UNPINNED; n];
+        let mut bit_pinned = vec![false; n];
+        for (bit, pin) in problem.pinned().iter().enumerate() {
+            if let &Some(line) = pin {
+                pinned_bit[line] = bit;
+                bit_pinned[bit] = true;
+            }
+        }
+        let sign_count = (0..n).map(|b| if problem.is_invertible(b) { 2 } else { 1 }).collect();
         // Sign-aware pairwise minimum switching weight.
-        let mut w_min = vec![vec![0.0; n]; n];
+        let mut w_min = vec![0.0; n * n];
         for a in 0..n {
             for b in 0..n {
                 if a == b {
                     continue;
                 }
-                let tc = stats.coupling_switching(a, b);
+                let tc = flat.tc[a * n + b];
                 // If at least one of the bits may be inverted, the sign
                 // product can be chosen to make the coupling term
                 // +|tc|; otherwise it is fixed at +tc.
@@ -99,7 +151,7 @@ impl<'a> Searcher<'a> {
                 } else {
                     tc
                 };
-                w_min[a][b] = (ts[a] + ts[b] - 2.0 * best_tc).max(0.0);
+                w_min[a * n + b] = (flat.ts[a] + flat.ts[b] - 2.0 * best_tc).max(0.0);
             }
         }
         // Branch on high-capacitance lines first; pinned lines may only
@@ -108,14 +160,25 @@ impl<'a> Searcher<'a> {
         let totals = problem.cap_model().c_r().row_sums();
         let mut line_order: Vec<usize> = (0..n).collect();
         line_order.sort_by(|&a, &b| totals[b].total_cmp(&totals[a]));
-        Self {
+        let base = problem.base_assignment();
+        let mut searcher = Self {
             problem,
+            n,
             line_order,
-            ts,
-            eps,
+            pinned_bit,
+            bit_pinned,
+            sign_count,
             w_min,
-            best_power: f64::INFINITY,
-            best: None,
+            lin: vec![0.0; n * n * n * 2],
+            moves: vec![(0.0, 0, 0.0); n * 2 * n],
+            placed: Vec::with_capacity(n),
+            free_bits: (0..n).collect(),
+            hungarian: Hungarian::new(n),
+            // Seed the incumbent with the (pin-respecting) base
+            // assignment so pruning can start immediately.
+            best_power: problem.power(&base),
+            best_line_of_bit: (0..n).map(|b| base.line_of_bit(b)).collect(),
+            best_inverted: base.inversions().to_vec(),
             nodes: 0,
             node_limit,
             exhausted: false,
@@ -125,115 +188,132 @@ impl<'a> Searcher<'a> {
             pruned_by_bound: 0,
             leaves: 0,
             incumbents: 0,
+        };
+        searcher.fill_diagonals();
+        searcher
+    }
+
+    /// Whether a pin allows `bit` on `line`: a pinned line takes only
+    /// its pinned bit, and a pinned bit no other line.
+    fn allowed(&self, line: usize, bit: usize) -> bool {
+        match self.pinned_bit[line] {
+            UNPINNED => !self.bit_pinned[bit],
+            pinned => pinned == bit,
         }
     }
 
-    /// Exact cost contribution of placing `(bit, sign)` on `line`,
-    /// against the already-placed prefix `placed` = [(line, bit, sign)].
-    fn placement_cost(&self, line: usize, bit: usize, sign: f64, placed: &[(usize, usize, f64)]) -> f64 {
-        let c_r = self.problem.cap_model().c_r();
-        let delta_c = self.problem.cap_model().delta_c();
-        let stats = self.problem.stats();
-        let eps_here = sign * self.eps[bit];
-        // Diagonal.
-        let mut cost = self.ts[bit] * (c_r[(line, line)] + 2.0 * delta_c[(line, line)] * eps_here);
-        // Pairs with already placed lines.
-        for &(other_line, other_bit, other_sign) in placed {
-            let c = c_r[(line, other_line)]
-                + delta_c[(line, other_line)] * (eps_here + other_sign * self.eps[other_bit]);
-            let w = self.ts[bit] + self.ts[other_bit]
-                - 2.0 * sign * other_sign * stats.coupling_switching(bit, other_bit);
-            cost += w * c;
-        }
-        cost
+    /// Index of `lin[depth][line][bit][sign]`.
+    fn lin_at(&self, depth: usize, line: usize, bit: usize) -> usize {
+        ((depth * self.n + line) * self.n + bit) * 2
     }
 
-    /// Admissible lower bound for all lines not yet placed.
-    fn remainder_bound(&self, placed: &[(usize, usize, f64)], free_bits: &[usize]) -> f64 {
-        if free_bits.is_empty() {
-            return 0.0;
+    /// Fills `lin[0]` with each placement's diagonal cost.
+    fn fill_diagonals(&mut self) {
+        let problem = self.problem;
+        let (flat, eps, n) = (problem.flat(), problem.eps(), self.n);
+        for line in 0..n {
+            let diag = line * n + line;
+            for bit in 0..n {
+                if !self.allowed(line, bit) {
+                    continue;
+                }
+                let at = self.lin_at(0, line, bit);
+                for (s, &sign) in SIGNS[..self.sign_count[bit]].iter().enumerate() {
+                    let eps_here = sign * eps[bit];
+                    self.lin[at + s] =
+                        flat.ts[bit] * (flat.c_r[diag] + 2.0 * flat.delta_c[diag] * eps_here);
+                }
+            }
         }
-        let c_r = self.problem.cap_model().c_r();
-        let delta_c = self.problem.cap_model().delta_c();
-        let free_lines: Vec<usize> = self.line_order[placed.len()..].to_vec();
+    }
 
-        // Extremes of achievable ε contributions among free bits
-        // (both directions, so the bound stays admissible whatever the
-        // sign of the ΔC entries).
-        let mut eps_max = f64::NEG_INFINITY;
-        let mut eps_min = f64::INFINITY;
-        for &b in free_bits {
-            let (lo, hi) = if self.problem.is_invertible(b) {
-                (-self.eps[b].abs(), self.eps[b].abs())
-            } else {
-                (self.eps[b], self.eps[b])
-            };
-            eps_min = eps_min.min(lo);
-            eps_max = eps_max.max(hi);
-        }
-        // Minimum pairwise switching weight among free bits.
-        let mut w_pair_min = f64::INFINITY;
-        if free_bits.len() >= 2 {
-            for (idx, &a) in free_bits.iter().enumerate() {
-                for &b in &free_bits[idx + 1..] {
-                    w_pair_min = w_pair_min.min(self.w_min[a][b]);
+    /// Fills `lin[depth + 1]` from `lin[depth]` after `(bit, sign)` went
+    /// on `line` at `depth`: each remaining placement gains its pair with
+    /// the new line.
+    fn place(&mut self, depth: usize, line: usize, bit: usize, sign: f64) {
+        let problem = self.problem;
+        let (flat, eps, n) = (problem.flat(), problem.eps(), self.n);
+        let eps_placed = sign * eps[bit];
+        for pos in depth + 1..n {
+            let free_line = self.line_order[pos];
+            let row = free_line * n;
+            for &free_bit in &self.free_bits {
+                if !self.allowed(free_line, free_bit) {
+                    continue;
+                }
+                let from = self.lin_at(depth, free_line, free_bit);
+                let to = self.lin_at(depth + 1, free_line, free_bit);
+                for (s, &free_sign) in SIGNS[..self.sign_count[free_bit]].iter().enumerate() {
+                    let eps_here = free_sign * eps[free_bit];
+                    let c = flat.c_r[row + line] + flat.delta_c[row + line] * (eps_here + eps_placed);
+                    let w = flat.ts[free_bit] + flat.ts[bit]
+                        - 2.0 * free_sign * sign * flat.tc[free_bit * n + bit];
+                    self.lin[to + s] = self.lin[from + s] + w * c;
                 }
             }
         }
+    }
 
-        let mut bound = 0.0;
-        // Diagonals of free lines: each free line must carry some free
-        // bit; bound by the per-line minimum over free bits and their
-        // achievable signs (exact enumeration, so no assumption on the
-        // sign of ΔC is needed).
-        for &line in &free_lines {
-            let mut line_min = f64::INFINITY;
-            for &b in free_bits {
-                let signs: &[f64] = if self.problem.is_invertible(b) {
-                    &[1.0, -1.0]
-                } else {
-                    &[1.0]
-                };
-                for &sg in signs {
-                    let c = c_r[(line, line)] + 2.0 * delta_c[(line, line)] * sg * self.eps[b];
-                    line_min = line_min.min(self.ts[b] * c.max(0.0));
+    /// The cheapest sign's entry of `lin[depth][line][bit]`.
+    fn cheapest(&self, depth: usize, line: usize, bit: usize) -> f64 {
+        let at = self.lin_at(depth, line, bit);
+        if self.sign_count[bit] == 2 {
+            self.lin[at].min(self.lin[at + 1])
+        } else {
+            self.lin[at]
+        }
+    }
+
+    /// Admissible lower bound for the lines not yet placed at `depth`
+    /// (whose `lin[depth]` layer is filled).
+    fn remainder_bound(&mut self, depth: usize) -> f64 {
+        let problem = self.problem;
+        let (flat, eps, n) = (problem.flat(), problem.eps(), self.n);
+        let free_lines = &self.line_order[depth..];
+        // Linear part: pinned lines carry their pinned bit; the others
+        // share the unpinned free bits through one assignment problem.
+        let mut fixed = 0.0;
+        let mut k = 0;
+        for &line in free_lines {
+            if self.pinned_bit[line] != UNPINNED {
+                fixed += self.cheapest(depth, line, self.pinned_bit[line]);
+                continue;
+            }
+            for &bit in &self.free_bits {
+                if !self.bit_pinned[bit] {
+                    let entry = self.cheapest(depth, line, bit);
+                    self.hungarian.cost.push(entry);
                 }
             }
-            bound += line_min;
+            k += 1;
         }
-        // Placed-free pairs: for each, the cheapest free (bit, sign).
-        let stats = self.problem.stats();
-        for &(p_line, p_bit, p_sign) in placed {
-            for &line in &free_lines {
-                let mut pair_min = f64::INFINITY;
-                for &b in free_bits {
-                    let signs: &[f64] = if self.problem.is_invertible(b) {
-                        &[1.0, -1.0]
-                    } else {
-                        &[1.0]
-                    };
-                    for &s in signs {
-                        let c = c_r[(line, p_line)]
-                            + delta_c[(line, p_line)]
-                                * (s * self.eps[b] + p_sign * self.eps[p_bit]);
-                        let w = self.ts[b] + self.ts[p_bit]
-                            - 2.0 * s * p_sign * stats.coupling_switching(b, p_bit);
-                        pair_min = pair_min.min((w * c).max(0.0));
-                    }
-                }
-                bound += pair_min;
-            }
-        }
+        let mut bound = fixed + self.hungarian.solve(k);
         // Free-free pairs: minimum weight × minimum capacitance; the ε
         // sum of a pair lies in [2·eps_min, 2·eps_max], and the linear
         // capacitance attains its minimum at one of the endpoints
         // regardless of ΔC's sign.
-        if free_bits.len() >= 2 {
+        if self.free_bits.len() >= 2 {
+            let mut eps_max = f64::NEG_INFINITY;
+            let mut eps_min = f64::INFINITY;
+            let mut w_pair_min = f64::INFINITY;
+            for (idx, &a) in self.free_bits.iter().enumerate() {
+                let (lo, hi) = if problem.is_invertible(a) {
+                    (-eps[a].abs(), eps[a].abs())
+                } else {
+                    (eps[a], eps[a])
+                };
+                eps_min = eps_min.min(lo);
+                eps_max = eps_max.max(hi);
+                for &b in &self.free_bits[idx + 1..] {
+                    w_pair_min = w_pair_min.min(self.w_min[a * n + b]);
+                }
+            }
             for (idx, &la) in free_lines.iter().enumerate() {
                 for &lb in &free_lines[idx + 1..] {
-                    let dc = delta_c[(la, lb)];
-                    let c_min = (c_r[(la, lb)] + (dc * 2.0 * eps_max).min(dc * 2.0 * eps_min))
-                        .max(0.0);
+                    let dc = flat.delta_c[la * n + lb];
+                    let c_min = (flat.c_r[la * n + lb]
+                        + (dc * 2.0 * eps_max).min(dc * 2.0 * eps_min))
+                    .max(0.0);
                     bound += w_pair_min * c_min;
                 }
             }
@@ -241,13 +321,13 @@ impl<'a> Searcher<'a> {
         bound
     }
 
-    fn search(&mut self, placed: &mut Vec<(usize, usize, f64)>, free_bits: &mut Vec<usize>, prefix_cost: f64) {
+    fn search(&mut self, depth: usize, prefix_cost: f64) {
         self.nodes += 1;
         if self.nodes > self.node_limit {
             self.exhausted = true;
             return;
         }
-        if free_bits.is_empty() {
+        if self.free_bits.is_empty() {
             self.leaves += 1;
             if prefix_cost < self.best_power {
                 self.incumbents += 1;
@@ -261,61 +341,55 @@ impl<'a> Searcher<'a> {
                     );
                 }
                 self.best_power = prefix_cost;
-                let n = self.problem.n();
-                let mut line_of_bit = vec![0usize; n];
-                let mut inverted = vec![false; n];
-                for &(line, bit, sign) in placed.iter() {
-                    line_of_bit[bit] = line;
-                    inverted[bit] = sign < 0.0;
+                for &(line, bit, sign) in &self.placed {
+                    self.best_line_of_bit[bit] = line;
+                    self.best_inverted[bit] = sign < 0.0;
                 }
-                self.best = Some(
-                    SignedPerm::from_parts(line_of_bit, inverted)
-                        .expect("search constructs valid permutations"),
-                );
             }
             return;
         }
 
-        let line = self.line_order[placed.len()];
         // Candidate moves ordered by their exact placement cost (best
-        // first finds a strong incumbent early). A pinned line accepts
-        // only its pinned bit; a pinned bit is skipped on other lines.
-        let pinned_bit_for_line = (0..self.problem.n())
-            .find(|&b| self.problem.pin_of(b) == Some(line));
-        let mut moves: Vec<(f64, usize, f64)> = Vec::new();
-        for &bit in free_bits.iter() {
-            match pinned_bit_for_line {
-                Some(p) if p != bit => continue,
-                None if self.problem.pin_of(bit).is_some() => continue,
-                _ => {}
+        // first finds a strong incumbent early); a stable sort keeps
+        // equal costs in `free_bits` order.
+        let line = self.line_order[depth];
+        let first = depth * 2 * self.n;
+        let mut count = 0;
+        for &bit in &self.free_bits {
+            if !self.allowed(line, bit) {
+                continue;
             }
-            let signs: &[f64] = if self.problem.is_invertible(bit) {
-                &[1.0, -1.0]
-            } else {
-                &[1.0]
-            };
-            for &sign in signs {
-                moves.push((self.placement_cost(line, bit, sign, placed), bit, sign));
+            let at = self.lin_at(depth, line, bit);
+            for (s, &sign) in SIGNS[..self.sign_count[bit]].iter().enumerate() {
+                self.moves[first + count] = (self.lin[at + s], bit, sign);
+                count += 1;
             }
         }
-        moves.sort_by(|a, b| a.0.total_cmp(&b.0));
+        sort_by_cost(&mut self.moves[first..first + count]);
 
-        for (cost, bit, sign) in moves {
+        for i in first..first + count {
             if self.exhausted {
                 return;
             }
+            let (cost, bit, sign) = self.moves[i];
             let new_cost = prefix_cost + cost;
             if new_cost >= self.best_power {
                 self.pruned_by_cost += 1;
                 continue;
             }
-            let pos = free_bits
+            let pos = self
+                .free_bits
                 .iter()
                 .position(|&b| b == bit)
                 .expect("candidate bit is free");
-            free_bits.swap_remove(pos);
-            placed.push((line, bit, sign));
-            let bound = self.remainder_bound(placed, free_bits);
+            self.free_bits.swap_remove(pos);
+            self.placed.push((line, bit, sign));
+            let bound = if self.free_bits.is_empty() {
+                0.0
+            } else {
+                self.place(depth, line, bit, sign);
+                self.remainder_bound(depth + 1)
+            };
             if self.observe && self.best_power.is_finite() && self.best_power != 0.0 {
                 // Bound quality: (prefix + bound) / incumbent — values
                 // ≥ 1 prune, values near 1 are tight.
@@ -323,15 +397,124 @@ impl<'a> Searcher<'a> {
                     .record("bnb.bound_ratio", (new_cost + bound) / self.best_power);
             }
             if new_cost + bound < self.best_power {
-                self.search(placed, free_bits, new_cost);
+                self.search(depth + 1, new_cost);
             } else {
                 self.pruned_by_bound += 1;
             }
-            placed.pop();
-            free_bits.push(bit);
-            // Restore ordering-insensitive set (swap_remove + push keeps
-            // it a set; order does not matter).
+            self.placed.pop();
+            self.free_bits.push(bit);
         }
+    }
+}
+
+/// Stable insertion sort of moves by cost: the order `sort_by` gives,
+/// without the scratch buffer it allocates above 20 elements.
+fn sort_by_cost(moves: &mut [(f64, usize, f64)]) {
+    for i in 1..moves.len() {
+        let mut j = i;
+        while j > 0 && moves[j - 1].0.total_cmp(&moves[j].0).is_gt() {
+            moves.swap(j - 1, j);
+            j -= 1;
+        }
+    }
+}
+
+/// The Hungarian method for square minimum-cost assignment (shortest
+/// augmenting paths with row and column potentials, O(k³)), with its
+/// scratch sized once for the bundle.
+struct Hungarian {
+    /// The `k×k` cost matrix, row-major; [`solve`](Self::solve) empties it.
+    cost: Vec<f64>,
+    /// Row potentials, 1-based.
+    u: Vec<f64>,
+    /// Column potentials, 1-based; slot 0 is the virtual column.
+    v: Vec<f64>,
+    /// `row_of[j]`: the row matched to column `j` (0 = none).
+    row_of: Vec<usize>,
+    /// The previous column on the shortest path to column `j`.
+    way: Vec<usize>,
+    /// Shortest reduced path cost to column `j` in this augmentation.
+    min_to: Vec<f64>,
+    /// Columns on the alternating tree.
+    used: Vec<bool>,
+}
+
+impl Hungarian {
+    fn new(n: usize) -> Self {
+        Self {
+            cost: Vec::with_capacity(n * n),
+            u: vec![0.0; n + 1],
+            v: vec![0.0; n + 1],
+            row_of: vec![0; n + 1],
+            way: vec![0; n + 1],
+            min_to: vec![0.0; n + 1],
+            used: vec![false; n + 1],
+        }
+    }
+
+    /// The cost of a minimum-cost perfect matching of the `k×k` matrix
+    /// in `cost`, summed over its entries. Leaves `cost` empty. Only
+    /// non-finite costs can leave no column to augment to; the bound
+    /// then falls back to `−∞`, which prunes nothing.
+    fn solve(&mut self, k: usize) -> f64 {
+        debug_assert_eq!(self.cost.len(), k * k, "free lines and free bits pair up");
+        self.u[..=k].fill(0.0);
+        self.v[..=k].fill(0.0);
+        self.row_of[..=k].fill(0);
+        for row in 1..=k {
+            self.row_of[0] = row;
+            let mut col = 0;
+            self.min_to[..=k].fill(f64::INFINITY);
+            self.used[..=k].fill(false);
+            loop {
+                self.used[col] = true;
+                let r = self.row_of[col];
+                let costs = &self.cost[(r - 1) * k..r * k];
+                let mut delta = f64::INFINITY;
+                let mut next = 0;
+                for j in 1..=k {
+                    if self.used[j] {
+                        continue;
+                    }
+                    let reduced = costs[j - 1] - self.u[r] - self.v[j];
+                    if reduced < self.min_to[j] {
+                        self.min_to[j] = reduced;
+                        self.way[j] = col;
+                    }
+                    if self.min_to[j] < delta {
+                        delta = self.min_to[j];
+                        next = j;
+                    }
+                }
+                if next == 0 {
+                    self.cost.clear();
+                    return f64::NEG_INFINITY;
+                }
+                for j in 0..=k {
+                    if self.used[j] {
+                        self.u[self.row_of[j]] += delta;
+                        self.v[j] -= delta;
+                    } else {
+                        self.min_to[j] -= delta;
+                    }
+                }
+                col = next;
+                if self.row_of[col] == 0 {
+                    break;
+                }
+            }
+            // Flip the augmenting path back to the virtual column.
+            while col != 0 {
+                let prev = self.way[col];
+                self.row_of[col] = self.row_of[prev];
+                col = prev;
+            }
+        }
+        let total = (1..=k)
+            .map(|j| self.cost[(self.row_of[j] - 1) * k + j - 1])
+            .sum();
+        self.cost.clear();
+        total
     }
 }
 
@@ -339,8 +522,10 @@ impl<'a> Searcher<'a> {
 /// (Eq. 10), with an anytime node budget.
 ///
 /// Unlike [`exhaustive`](crate::optimize::exhaustive) this prunes with
-/// admissible lower bounds, extending the exactly solvable range to
-/// typical 3×3/2×5 bundles with inversions in milliseconds.
+/// admissible lower bounds. In a release build on a 2-vCPU VM, a 2×4
+/// proof on the `exact_2x4` benchmark streams takes 0.1–0.2 s and a
+/// 3×3 minimum-pitch proof on sequential and Gaussian streams with
+/// inversions 0.3–1.2 s (50 k–610 k nodes).
 ///
 /// # Errors
 ///
@@ -392,16 +577,10 @@ pub fn branch_and_bound_with_telemetry(
     }
     let _span = tel.span("core.bnb");
     let mut searcher = Searcher::new(problem, options.node_limit, tel);
-    // Seed the incumbent with the (pin-respecting) base assignment so
-    // pruning can start immediately.
-    let base = problem.base_assignment();
-    searcher.best_power = problem.power(&base);
-    searcher.best = Some(base);
-    let mut placed = Vec::with_capacity(problem.n());
-    let mut free_bits: Vec<usize> = (0..problem.n()).collect();
-    searcher.search(&mut placed, &mut free_bits, 0.0);
+    searcher.search(0, 0.0);
 
-    let assignment = searcher.best.expect("an incumbent always exists");
+    let assignment = SignedPerm::from_parts(searcher.best_line_of_bit, searcher.best_inverted)
+        .expect("search constructs valid permutations");
     let power = problem.power(&assignment);
     let outcome = BnbOutcome {
         result: OptimizeResult { assignment, power },
@@ -498,6 +677,43 @@ mod tests {
         )
         .unwrap();
         assert!(bnb.result.power <= annealed.power * (1.0 + 1e-9));
+    }
+
+    /// The exactness contract: on fixed instances with pins and
+    /// inversion masks, the table-driven search proves the reference
+    /// search's power bit for bit, returns its assignment and expands
+    /// no more nodes.
+    #[test]
+    fn matches_the_reference_search_with_no_more_nodes() {
+        let masked = |p: AssignmentProblem, invertible: &[bool]| {
+            p.with_invertible(invertible.to_vec()).expect("flag count")
+        };
+        let pinned = |p: AssignmentProblem, pins: &[Option<usize>]| {
+            p.with_pinned(pins.to_vec()).expect("valid pins")
+        };
+        let cases = [
+            problem(2, 3, 7),
+            masked(problem(2, 3, 8), &[true, false, true, false, true, false]),
+            masked(
+                pinned(problem(2, 3, 9), &[None, Some(4), None, None, Some(0), None]),
+                &[false, true, true, false, true, true],
+            ),
+            problem(2, 4, 5),
+            masked(problem(2, 4, 6), &[false, true, true, true, false, true, true, false]),
+            pinned(problem(2, 4, 7), &[None, None, Some(2), None, None, None, Some(5), None]),
+            masked(
+                pinned(problem(2, 4, 8), &[Some(7), None, None, None, None, None, None, Some(0)]),
+                &[true, true, false, true, true, false, true, true],
+            ),
+        ];
+        for (i, p) in cases.iter().enumerate() {
+            let old = reference::branch_and_bound(p);
+            let new = branch_and_bound(p, &BnbOptions::default()).unwrap();
+            assert!(new.proven_optimal, "case {i}");
+            assert_eq!(new.result.power.to_bits(), old.power.to_bits(), "case {i}");
+            assert_eq!(new.result.assignment, old.assignment, "case {i}");
+            assert!(new.nodes <= old.nodes, "case {i}: {} > {} nodes", new.nodes, old.nodes);
+        }
     }
 
     #[test]

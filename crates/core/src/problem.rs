@@ -65,8 +65,9 @@ pub struct AssignmentProblem {
 /// Row-major copies of the model/statistics matrices the move-pricing
 /// loops read.
 ///
-/// [`power`], the `*_delta` methods and [`crosstalk_activity`] read four
-/// coefficients per line pair; going through `Matrix` indexing and the
+/// [`power`], the `*_delta` methods, [`crosstalk_activity`] and the
+/// branch-and-bound searcher read up to four coefficients per line pair;
+/// going through `Matrix` indexing and the
 /// stats accessors costs a cross-crate call per read (no LTO in this
 /// workspace), so the constructor copies them once into contiguous
 /// `Vec<f64>` tables. Values are byte-for-byte the matrix entries, so
@@ -75,19 +76,19 @@ pub struct AssignmentProblem {
 /// [`power`]: AssignmentProblem::power
 /// [`crosstalk_activity`]: AssignmentProblem::crosstalk_activity
 #[derive(Debug, Clone)]
-struct FlatTables {
+pub(crate) struct FlatTables {
     /// Bundle size (rows/cols of the square tables).
-    n: usize,
+    pub(crate) n: usize,
     /// Line-indexed rest capacitance `C_R`, row-major `n×n`.
-    c_r: Vec<f64>,
+    pub(crate) c_r: Vec<f64>,
     /// Line-indexed capacitance slope `ΔC`, row-major `n×n`.
-    delta_c: Vec<f64>,
+    pub(crate) delta_c: Vec<f64>,
     /// Bit-indexed coupling switching `Tc`, row-major `n×n`.
-    tc: Vec<f64>,
+    pub(crate) tc: Vec<f64>,
     /// Bit-indexed joint toggle probability, row-major `n×n`.
     joint: Vec<f64>,
     /// Bit-indexed self switching `Ts` diagonal.
-    ts: Vec<f64>,
+    pub(crate) ts: Vec<f64>,
 }
 
 impl FlatTables {
@@ -271,6 +272,16 @@ impl AssignmentProblem {
     /// Number of bits = number of TSVs in the bundle.
     pub fn n(&self) -> usize {
         self.stats.n()
+    }
+
+    /// The row-major coefficient tables.
+    pub(crate) fn flat(&self) -> &FlatTables {
+        &self.flat
+    }
+
+    /// The bit-indexed `ε` vector of the statistics.
+    pub(crate) fn eps(&self) -> &[f64] {
+        &self.eps
     }
 
     /// The data stream's switching statistics (bit-indexed).

@@ -139,6 +139,23 @@ proptest! {
     }
 
     #[test]
+    fn branch_and_bound_agrees_with_exhaustive_on_pinned_problems(p in pinned_problem()) {
+        // Pins enter the bound as fixed terms and forbidden entries;
+        // inversion masks restrict its sign minima.
+        let exact = tsv3d_core::optimize::exhaustive(&p).expect("fits");
+        let bnb = tsv3d_core::optimize::branch_and_bound(&p, &Default::default())
+            .expect("budget ok");
+        prop_assert!(bnb.proven_optimal);
+        prop_assert!(p.is_feasible(&bnb.result.assignment));
+        prop_assert!(
+            (bnb.result.power - exact.power).abs() < 1e-9 * exact.power.abs().max(1e-12),
+            "bnb {:.6e} vs exhaustive {:.6e}",
+            bnb.result.power,
+            exact.power
+        );
+    }
+
+    #[test]
     fn anneal_objective_only_returns_feasible_assignments(p in pinned_problem(), seed in any::<u64>()) {
         // Regression guard: `anneal_objective` used to swap over *all*
         // lines instead of the unpinned ones, so with pins it could
