@@ -144,6 +144,37 @@ mod tests {
     }
 
     #[test]
+    fn anneal_options_reach_the_proven_optimum_on_3x3() {
+        // The quality gate of the paper's optimiser: on 3x3 minimum-pitch
+        // instances of the paper's stream kinds, the figures' anneal
+        // budget ends at the branch-and-bound optimum. The gap is
+        // checked both ways: B&B ranks leaves by their accumulated
+        // prefix cost but reports `power`, so among exact ties the
+        // annealer can end a few ulps lower.
+        use tsv3d_bench::explain::{ExplainSpec, GeometryKind, StreamSpec};
+        for stream in [
+            StreamSpec::Sequential(0.01),
+            StreamSpec::Gaussian(80.0, -0.3),
+            StreamSpec::Gaussian(80.0, 0.5),
+        ] {
+            let spec = ExplainSpec {
+                rows: 3,
+                cols: 3,
+                geometry: GeometryKind::Min,
+                stream,
+                cycles: 20_000,
+                seed: 1,
+            };
+            let p = spec.build_problem().expect("3x3 problem builds");
+            let exact = optimize::branch_and_bound(&p, &Default::default()).unwrap();
+            assert!(exact.proven_optimal, "{stream:?}: {} nodes", exact.nodes);
+            let annealed = optimize::anneal(&p, &anneal_options()).unwrap();
+            let gap = annealed.power / exact.result.power - 1.0;
+            assert!(gap.abs() <= 1e-9, "{stream:?}: anneal/optimum - 1 = {gap:e}");
+        }
+    }
+
+    #[test]
     fn reduction_pct_signs() {
         assert!(reduction_pct(1.1, 1.0) < 0.0);
         assert_eq!(reduction_pct(0.5, 1.0), 50.0);

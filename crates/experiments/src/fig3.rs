@@ -40,11 +40,8 @@ pub fn point(sigma: f64, rho: f64, cycles: usize, quick: bool) -> Fig3Point {
 }
 
 /// [`point`] with instrumentation: the generation/optimisation/baseline
-/// stages report spans on `tel`, the optimiser streams its per-epoch
-/// telemetry, and an *anytime* node-capped branch-and-bound cross-check
-/// runs alongside the annealer. The cross-check only runs when `tel` is
-/// enabled — B&B is deterministic and RNG-free, so gating it cannot
-/// perturb the annealed result — keeping the default runtime unchanged.
+/// stages report spans on `tel` and the optimiser streams its per-epoch
+/// telemetry. A traced point does the same work as an untraced one.
 pub fn point_with_telemetry(
     sigma: f64,
     rho: f64,
@@ -71,27 +68,6 @@ pub fn point_with_telemetry(
             .expect("non-empty budget")
             .power
     };
-    if tel.is_enabled() {
-        // A full 16-line exact search is intractable; a small node budget
-        // still exercises the bound machinery and yields an incumbent to
-        // sanity-check the annealer against.
-        let bnb = optimize::branch_and_bound_with_telemetry(
-            &problem,
-            &optimize::BnbOptions { node_limit: 5_000 },
-            tel,
-        )
-        .expect("non-zero node budget");
-        tel.event(
-            "fig3.bnb_crosscheck",
-            &[
-                ("sigma", Value::from(sigma)),
-                ("rho", Value::from(rho)),
-                ("anneal_power", Value::from(optimal)),
-                ("bnb_power", Value::from(bnb.result.power)),
-                ("proven_optimal", Value::from(bnb.proven_optimal)),
-            ],
-        );
-    }
     let (sawtooth, spiral) = {
         let _span = tel.span("flow.systematic");
         (
@@ -194,17 +170,15 @@ mod tests {
     }
 
     #[test]
-    fn instrumented_point_is_identical_and_runs_the_crosscheck() {
+    fn instrumented_point_is_identical() {
         let plain = point(1000.0, 0.0, 4_000, true);
         let tel = TelemetryHandle::with_sink(Box::new(tsv3d_telemetry::NullSink));
         let observed = point_with_telemetry(1000.0, 0.0, 4_000, true, &tel);
         assert_eq!(plain, observed);
         assert!(tel.counter_value("anneal.proposals").unwrap_or(0) > 0);
-        assert!(tel.counter_value("bnb.nodes").unwrap_or(0) > 0);
         for stage in [
             "flow.problem_build",
             "flow.optimize",
-            "core.bnb",
             "flow.systematic",
             "flow.random_baseline",
         ] {
