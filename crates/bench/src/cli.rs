@@ -257,7 +257,7 @@ Options:
   --stream SPEC         data stream: seq:P (0 <= P <= 1) |
                         gauss:SIGMA[,RHO] (SIGMA > 0, -1 < RHO < 1) |
                         uniform (default seq:0.02)
-  --cycles N            stream length in cycles (default 8000)
+  --cycles N            stream length in cycles, N >= 2 (default 8000)
   --seed N              stream and annealer seed (default 7)
   --method M            how the explained assignment is obtained:
                         identity | anneal | bnb | greedy | spiral |
@@ -609,8 +609,14 @@ impl Args {
     }
 
     /// The problem spec: `defaults` overridden by `--rows`, `--cols`,
-    /// `--geometry`, `--stream`, `--cycles` and `--seed`.
+    /// `--geometry`, `--stream`, `--cycles` and `--seed`. A stream needs
+    /// two words for one transition, so `--cycles` is at least 2.
     pub fn spec(&self, defaults: ExplainSpec) -> Result<ExplainSpec, Fail> {
+        if let Some(cycles) = self.value::<usize>("--cycles")? {
+            if cycles < 2 {
+                return Err(Fail::Usage("--cycles must be at least 2".into()));
+            }
+        }
         Ok(ExplainSpec {
             rows: self.positive("--rows")?.unwrap_or(defaults.rows),
             cols: self.positive("--cols")?.unwrap_or(defaults.cols),
@@ -620,7 +626,7 @@ impl Args {
             stream: self
                 .parse_with("--stream", StreamSpec::parse)?
                 .unwrap_or(defaults.stream),
-            cycles: self.positive("--cycles")?.unwrap_or(defaults.cycles),
+            cycles: self.value("--cycles")?.unwrap_or(defaults.cycles),
             seed: self.value("--seed")?.unwrap_or(defaults.seed),
         })
     }

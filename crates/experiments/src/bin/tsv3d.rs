@@ -49,11 +49,10 @@ Options:
   --stream SPEC         data stream: seq:P (0 <= P <= 1) |
                         gauss:SIGMA[,RHO] (SIGMA > 0, -1 < RHO < 1) |
                         uniform (default seq:0.01)
-  --cycles N            stream length in cycles (default 20000)
+  --cycles N            stream length in cycles, N >= 2 (default 20000)
   --seed N              stream seed (default 1)
   --method M            identity | anneal | bnb | greedy | spiral |
-                        sawtooth (default anneal; a bnb proof can take
-                        minutes on 3x3 and larger arrays)
+                        sawtooth (default anneal)
 ";
 
 /// Usage text of `tsv3d eval`.
@@ -71,7 +70,7 @@ Options:
   --stream SPEC         data stream: seq:P (0 <= P <= 1) |
                         gauss:SIGMA[,RHO] (SIGMA > 0, -1 < RHO < 1) |
                         uniform (default seq:0.01)
-  --cycles N            stream length in cycles (default 20000)
+  --cycles N            stream length in cycles, N >= 2 (default 20000)
   --seed N              stream seed (default 1)
 ";
 

@@ -92,6 +92,9 @@ fn out_of_range_values_and_foreign_flags_are_usage_errors() {
         &["assign", "--stream", "gauss:0"],
         &["assign", "--stream", "gauss:1000,1.5"],
         &["assign", "--cycles", "0"],
+        &["assign", "--rows", "2", "--cols", "2", "--cycles", "1", "--method", "identity"],
+        &["eval", "--rows", "2", "--cols", "2", "--assignment", "1,0-,3,2", "--cycles", "1"],
+        &["explain", "--cycles", "1"],
         &["assign", "--rows", "0"],
         &["assign", "--geometry", "dense"],
         &["assign", "--assignment", "0,1,2"],
@@ -154,9 +157,10 @@ fn subcommand_unknown_option_prints_its_usage_and_exits_2() {
     }
 }
 
-/// The assignment-flow commands on small 2x2 arrays, each with the
-/// committed file under `tests/data/` that holds its exact stdout.
-const FLOW_GOLDENS: [(&str, &[&str]); 8] = [
+/// The assignment-flow commands on small 2x2 arrays, plus a B&B proof at
+/// the 3x3 defaults, each with the committed file under `tests/data/`
+/// that holds its exact stdout.
+const FLOW_GOLDENS: [(&str, &[&str]); 9] = [
     ("cli_extract_2x2.txt", &["extract", "--rows", "2", "--cols", "2"]),
     ("cli_spice_2x2.sp", &["spice", "--rows", "2", "--cols", "2"]),
     (
@@ -178,6 +182,7 @@ const FLOW_GOLDENS: [(&str, &[&str]); 8] = [
         "cli_assign_bnb_2x2.txt",
         &["assign", "--rows", "2", "--cols", "2", "--cycles", "500", "--method", "bnb"],
     ),
+    ("cli_assign_bnb_3x3.txt", &["assign", "--method", "bnb"]),
     (
         "cli_assign_greedy_wide_2x2.txt",
         &[
