@@ -134,7 +134,9 @@ impl<'a> Searcher<'a> {
                 bit_pinned[bit] = true;
             }
         }
-        let sign_count = (0..n).map(|b| if problem.is_invertible(b) { 2 } else { 1 }).collect();
+        let sign_count = (0..n)
+            .map(|b| if problem.is_invertible(b) { 2 } else { 1 })
+            .collect();
         // Sign-aware pairwise minimum switching weight.
         let mut w_min = vec![0.0; n * n];
         for a in 0..n {
@@ -245,7 +247,8 @@ impl<'a> Searcher<'a> {
                 let to = self.lin_at(depth + 1, free_line, free_bit);
                 for (s, &free_sign) in SIGNS[..self.sign_count[free_bit]].iter().enumerate() {
                     let eps_here = free_sign * eps[free_bit];
-                    let c = flat.c_r[row + line] + flat.delta_c[row + line] * (eps_here + eps_placed);
+                    let c =
+                        flat.c_r[row + line] + flat.delta_c[row + line] * (eps_here + eps_placed);
                     let w = flat.ts[free_bit] + flat.ts[bit]
                         - 2.0 * free_sign * sign * flat.tc[free_bit * n + bit];
                     self.lin[to + s] = self.lin[from + s] + w * c;
@@ -695,14 +698,26 @@ mod tests {
             problem(2, 3, 7),
             masked(problem(2, 3, 8), &[true, false, true, false, true, false]),
             masked(
-                pinned(problem(2, 3, 9), &[None, Some(4), None, None, Some(0), None]),
+                pinned(
+                    problem(2, 3, 9),
+                    &[None, Some(4), None, None, Some(0), None],
+                ),
                 &[false, true, true, false, true, true],
             ),
             problem(2, 4, 5),
-            masked(problem(2, 4, 6), &[false, true, true, true, false, true, true, false]),
-            pinned(problem(2, 4, 7), &[None, None, Some(2), None, None, None, Some(5), None]),
             masked(
-                pinned(problem(2, 4, 8), &[Some(7), None, None, None, None, None, None, Some(0)]),
+                problem(2, 4, 6),
+                &[false, true, true, true, false, true, true, false],
+            ),
+            pinned(
+                problem(2, 4, 7),
+                &[None, None, Some(2), None, None, None, Some(5), None],
+            ),
+            masked(
+                pinned(
+                    problem(2, 4, 8),
+                    &[Some(7), None, None, None, None, None, None, Some(0)],
+                ),
                 &[true, true, false, true, true, false, true, true],
             ),
         ];
@@ -712,7 +727,40 @@ mod tests {
             assert!(new.proven_optimal, "case {i}");
             assert_eq!(new.result.power.to_bits(), old.power.to_bits(), "case {i}");
             assert_eq!(new.result.assignment, old.assignment, "case {i}");
-            assert!(new.nodes <= old.nodes, "case {i}: {} > {} nodes", new.nodes, old.nodes);
+            assert!(
+                new.nodes <= old.nodes,
+                "case {i}: {} > {} nodes",
+                new.nodes,
+                old.nodes
+            );
+        }
+    }
+
+    #[test]
+    fn hungarian_finds_the_minimum_matching() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        /// Minimum over every matching of rows `row..k` to unused columns.
+        fn brute(m: &[f64], k: usize, row: usize, used: u32) -> f64 {
+            if row == k {
+                return 0.0;
+            }
+            (0..k)
+                .filter(|&c| used & (1 << c) == 0)
+                .map(|c| m[row * k + c] + brute(m, k, row + 1, used | 1 << c))
+                .fold(f64::INFINITY, f64::min)
+        }
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut hungarian = Hungarian::new(6);
+        for k in 0..=6 {
+            for _ in 0..50 {
+                let m: Vec<f64> = (0..k * k).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                hungarian.cost.extend_from_slice(&m);
+                let got = hungarian.solve(k);
+                let want = brute(&m, k, 0, 0);
+                assert!((got - want).abs() <= 1e-12, "k = {k}: {got} vs {want}");
+                assert!(hungarian.cost.is_empty());
+            }
         }
     }
 

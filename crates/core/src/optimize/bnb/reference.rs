@@ -79,7 +79,13 @@ impl<'a> Searcher<'a> {
         }
     }
 
-    fn placement_cost(&self, line: usize, bit: usize, sign: f64, placed: &[(usize, usize, f64)]) -> f64 {
+    fn placement_cost(
+        &self,
+        line: usize,
+        bit: usize,
+        sign: f64,
+        placed: &[(usize, usize, f64)],
+    ) -> f64 {
         let c_r = self.problem.cap_model().c_r();
         let delta_c = self.problem.cap_model().delta_c();
         let stats = self.problem.stats();
@@ -161,8 +167,8 @@ impl<'a> Searcher<'a> {
             for (idx, &la) in free_lines.iter().enumerate() {
                 for &lb in &free_lines[idx + 1..] {
                     let dc = delta_c[(la, lb)];
-                    let c_min = (c_r[(la, lb)] + (dc * 2.0 * eps_max).min(dc * 2.0 * eps_min))
-                        .max(0.0);
+                    let c_min =
+                        (c_r[(la, lb)] + (dc * 2.0 * eps_max).min(dc * 2.0 * eps_min)).max(0.0);
                     bound += w_pair_min * c_min;
                 }
             }
@@ -170,7 +176,12 @@ impl<'a> Searcher<'a> {
         bound
     }
 
-    fn search(&mut self, placed: &mut Vec<(usize, usize, f64)>, free_bits: &mut Vec<usize>, prefix_cost: f64) {
+    fn search(
+        &mut self,
+        placed: &mut Vec<(usize, usize, f64)>,
+        free_bits: &mut Vec<usize>,
+        prefix_cost: f64,
+    ) {
         self.nodes += 1;
         if free_bits.is_empty() {
             if prefix_cost < self.best_power {
@@ -188,7 +199,8 @@ impl<'a> Searcher<'a> {
             return;
         }
         let line = self.line_order[placed.len()];
-        let pinned_bit_for_line = (0..self.problem.n()).find(|&b| self.problem.pin_of(b) == Some(line));
+        let pinned_bit_for_line =
+            (0..self.problem.n()).find(|&b| self.problem.pin_of(b) == Some(line));
         let mut moves: Vec<(f64, usize, f64)> = Vec::new();
         for &bit in free_bits.iter() {
             match pinned_bit_for_line {
@@ -206,7 +218,10 @@ impl<'a> Searcher<'a> {
             if new_cost >= self.best_power {
                 continue;
             }
-            let pos = free_bits.iter().position(|&b| b == bit).expect("candidate bit is free");
+            let pos = free_bits
+                .iter()
+                .position(|&b| b == bit)
+                .expect("candidate bit is free");
             free_bits.swap_remove(pos);
             placed.push((line, bit, sign));
             let bound = self.remainder_bound(placed, free_bits);
