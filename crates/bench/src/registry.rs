@@ -3,8 +3,8 @@
 //! (`tsv3d-circuit`), the reference codecs (`tsv3d-codec`) and the
 //! switching-statistics estimator (`tsv3d-stats`). Stage cases carry
 //! the repository benchmark's layer name as a prefix
-//! (`stats.from_stream_…`), so a layer that moves in a traced benchmark
-//! run maps to one case.
+//! (`stats.from_stream_…`, `core.bnb_…`), so a layer that moves in a
+//! traced benchmark run maps to one case.
 //!
 //! Each case separates *setup* (problem/netlist/stream construction,
 //! untimed) from the *body* the harness measures. Workloads are fixed

@@ -170,7 +170,10 @@ mod tests {
             assert!(exact.proven_optimal, "{stream:?}: {} nodes", exact.nodes);
             let annealed = optimize::anneal(&p, &anneal_options()).unwrap();
             let gap = annealed.power / exact.result.power - 1.0;
-            assert!(gap.abs() <= 1e-9, "{stream:?}: anneal/optimum - 1 = {gap:e}");
+            assert!(
+                gap.abs() <= 1e-9,
+                "{stream:?}: anneal/optimum - 1 = {gap:e}"
+            );
         }
     }
 

@@ -92,8 +92,8 @@ fn out_of_range_values_and_foreign_flags_are_usage_errors() {
         &["assign", "--stream", "gauss:0"],
         &["assign", "--stream", "gauss:1000,1.5"],
         &["assign", "--cycles", "0"],
-        &["assign", "--rows", "2", "--cols", "2", "--cycles", "1", "--method", "identity"],
-        &["eval", "--rows", "2", "--cols", "2", "--assignment", "1,0-,3,2", "--cycles", "1"],
+        &["assign", "--cycles", "1", "--method", "identity"],
+        &["eval", "--assignment", "0,1,2,3,4,5,6,7,8", "--cycles", "1"],
         &["explain", "--cycles", "1"],
         &["assign", "--rows", "0"],
         &["assign", "--geometry", "dense"],
