@@ -612,11 +612,10 @@ impl Args {
     /// `--geometry`, `--stream`, `--cycles` and `--seed`. A stream needs
     /// two words for one transition, so `--cycles` is at least 2.
     pub fn spec(&self, defaults: ExplainSpec) -> Result<ExplainSpec, Fail> {
-        if let Some(cycles) = self.value::<usize>("--cycles")? {
-            if cycles < 2 {
-                return Err(Fail::Usage("--cycles must be at least 2".into()));
-            }
-        }
+        let cycles = match self.value("--cycles")? {
+            Some(n) if n < 2 => return Err(Fail::Usage("--cycles must be at least 2".into())),
+            n => n.unwrap_or(defaults.cycles),
+        };
         Ok(ExplainSpec {
             rows: self.positive("--rows")?.unwrap_or(defaults.rows),
             cols: self.positive("--cols")?.unwrap_or(defaults.cols),
@@ -626,7 +625,7 @@ impl Args {
             stream: self
                 .parse_with("--stream", StreamSpec::parse)?
                 .unwrap_or(defaults.stream),
-            cycles: self.value("--cycles")?.unwrap_or(defaults.cycles),
+            cycles,
             seed: self.value("--seed")?.unwrap_or(defaults.seed),
         })
     }

@@ -83,10 +83,6 @@ struct Searcher<'a> {
     line_order: Vec<usize>,
     /// `pinned_bit[line]`: the bit pinned to `line`, or [`UNPINNED`].
     pinned_bit: Vec<usize>,
-    /// `bit_pinned[bit]`: whether `bit` is pinned to some line.
-    bit_pinned: Vec<bool>,
-    /// Number of signs bit `b` may take: 2 if invertible, else 1.
-    sign_count: Vec<usize>,
     /// Pairwise switching-weight minima over sign choices, row-major
     /// `n×n`: `Ts_a + Ts_b − 2·|Tc_ab|` (sign-restricted when neither
     /// bit may be inverted), clamped at 0.
@@ -127,16 +123,11 @@ impl<'a> Searcher<'a> {
         let n = problem.n();
         let flat = problem.flat();
         let mut pinned_bit = vec![UNPINNED; n];
-        let mut bit_pinned = vec![false; n];
         for (bit, pin) in problem.pinned().iter().enumerate() {
             if let &Some(line) = pin {
                 pinned_bit[line] = bit;
-                bit_pinned[bit] = true;
             }
         }
-        let sign_count = (0..n)
-            .map(|b| if problem.is_invertible(b) { 2 } else { 1 })
-            .collect();
         // Sign-aware pairwise minimum switching weight.
         let mut w_min = vec![0.0; n * n];
         for a in 0..n {
@@ -168,8 +159,6 @@ impl<'a> Searcher<'a> {
             n,
             line_order,
             pinned_bit,
-            bit_pinned,
-            sign_count,
             w_min,
             lin: vec![0.0; n * n * n * 2],
             moves: vec![(0.0, 0, 0.0); n * 2 * n],
@@ -199,8 +188,17 @@ impl<'a> Searcher<'a> {
     /// its pinned bit, and a pinned bit no other line.
     fn allowed(&self, line: usize, bit: usize) -> bool {
         match self.pinned_bit[line] {
-            UNPINNED => !self.bit_pinned[bit],
+            UNPINNED => self.problem.pin_of(bit).is_none(),
             pinned => pinned == bit,
+        }
+    }
+
+    /// The signs `bit` may take, in the `lin` tables' sign-slot order.
+    fn signs(&self, bit: usize) -> &'static [f64] {
+        if self.problem.is_invertible(bit) {
+            &SIGNS
+        } else {
+            &SIGNS[..1]
         }
     }
 
@@ -215,13 +213,13 @@ impl<'a> Searcher<'a> {
         let (flat, eps, n) = (problem.flat(), problem.eps(), self.n);
         for line in 0..n {
             let diag = line * n + line;
-            for bit in 0..n {
+            for (bit, &eps_bit) in eps.iter().enumerate() {
                 if !self.allowed(line, bit) {
                     continue;
                 }
                 let at = self.lin_at(0, line, bit);
-                for (s, &sign) in SIGNS[..self.sign_count[bit]].iter().enumerate() {
-                    let eps_here = sign * eps[bit];
+                for (s, &sign) in self.signs(bit).iter().enumerate() {
+                    let eps_here = sign * eps_bit;
                     self.lin[at + s] =
                         flat.ts[bit] * (flat.c_r[diag] + 2.0 * flat.delta_c[diag] * eps_here);
                 }
@@ -245,7 +243,7 @@ impl<'a> Searcher<'a> {
                 }
                 let from = self.lin_at(depth, free_line, free_bit);
                 let to = self.lin_at(depth + 1, free_line, free_bit);
-                for (s, &free_sign) in SIGNS[..self.sign_count[free_bit]].iter().enumerate() {
+                for (s, &free_sign) in self.signs(free_bit).iter().enumerate() {
                     let eps_here = free_sign * eps[free_bit];
                     let c =
                         flat.c_r[row + line] + flat.delta_c[row + line] * (eps_here + eps_placed);
@@ -260,7 +258,7 @@ impl<'a> Searcher<'a> {
     /// The cheapest sign's entry of `lin[depth][line][bit]`.
     fn cheapest(&self, depth: usize, line: usize, bit: usize) -> f64 {
         let at = self.lin_at(depth, line, bit);
-        if self.sign_count[bit] == 2 {
+        if self.problem.is_invertible(bit) {
             self.lin[at].min(self.lin[at + 1])
         } else {
             self.lin[at]
@@ -283,7 +281,7 @@ impl<'a> Searcher<'a> {
                 continue;
             }
             for &bit in &self.free_bits {
-                if !self.bit_pinned[bit] {
+                if problem.pin_of(bit).is_none() {
                     let entry = self.cheapest(depth, line, bit);
                     self.hungarian.cost.push(entry);
                 }
@@ -363,7 +361,7 @@ impl<'a> Searcher<'a> {
                 continue;
             }
             let at = self.lin_at(depth, line, bit);
-            for (s, &sign) in SIGNS[..self.sign_count[bit]].iter().enumerate() {
+            for (s, &sign) in self.signs(bit).iter().enumerate() {
                 self.moves[first + count] = (self.lin[at + s], bit, sign);
                 count += 1;
             }
