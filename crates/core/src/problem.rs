@@ -67,11 +67,11 @@ pub struct AssignmentProblem {
 ///
 /// [`power`], the `*_delta` methods, [`crosstalk_activity`] and the
 /// branch-and-bound searcher read up to four coefficients per line pair;
-/// going through `Matrix` indexing and the
-/// stats accessors costs a cross-crate call per read (no LTO in this
-/// workspace), so the constructor copies them once into contiguous
-/// `Vec<f64>` tables. Values are byte-for-byte the matrix entries, so
-/// switching the readers over changes no arithmetic.
+/// going through `Matrix` indexing and the stats accessors costs a
+/// cross-crate call per read (no LTO in this workspace), so the
+/// constructor copies them once into contiguous `Vec<f64>` tables.
+/// Values are byte-for-byte the matrix entries, so switching the readers
+/// over changes no arithmetic.
 ///
 /// [`power`]: AssignmentProblem::power
 /// [`crosstalk_activity`]: AssignmentProblem::crosstalk_activity
