@@ -524,9 +524,9 @@ impl Hungarian {
 ///
 /// Unlike [`exhaustive`](crate::optimize::exhaustive) this prunes with
 /// admissible lower bounds. In a release build on a 2-vCPU VM, a 2×4
-/// proof on the `exact_2x4` benchmark streams takes 0.1–0.2 s and a
-/// 3×3 minimum-pitch proof on sequential and Gaussian streams with
-/// inversions 0.3–1.2 s (50 k–610 k nodes).
+/// proof on the `exact_2x4` benchmark streams averages 0.13 s and a 3×3
+/// minimum-pitch proof on sequential and Gaussian streams with
+/// inversions takes 0.3–1.2 s (50 k–610 k nodes).
 ///
 /// # Errors
 ///
