@@ -170,6 +170,31 @@ pub fn cases() -> Vec<BenchCase> {
             },
         },
         BenchCase {
+            name: "core.anneal_4x4_serial",
+            area: "core",
+            about: "optimize::anneal (20k iters x 3 restarts, threads 1) on a fig3_gauss job (4x4 wide, gaussian sigma 1000 rho -0.3, 30k cycles); asserts the recorded power bits",
+            setup: |_cfg| {
+                let problem = FIG3_GAUSS_4X4.build_problem().expect("bench problem builds");
+                let options = optimize::AnnealOptions {
+                    iterations: 20_000,
+                    restarts: 3,
+                    seed: 0x7_5EED,
+                    threads: 1,
+                };
+                Box::new(move |tel| {
+                    let r = optimize::anneal(&problem, &options).expect("anneal budget is non-empty");
+                    assert_eq!(
+                        r.power.to_bits(),
+                        FIG3_GAUSS_4X4_POWER_BITS,
+                        "the annealer's trajectory drifted: power {:e}",
+                        r.power
+                    );
+                    tel.add("bench.anneal_proposals", (options.iterations * options.restarts) as u64);
+                    black_box(r.power);
+                })
+            },
+        },
+        BenchCase {
             name: "bnb_search_3x3",
             area: "core",
             about: "branch-and-bound search (capped at 300k nodes) on a 3x3 sequential problem",
@@ -252,7 +277,7 @@ pub fn cases() -> Vec<BenchCase> {
         BenchCase {
             name: "delta_eval_4x4_x1024",
             area: "core",
-            about: "1024 incremental swap/flip delta evaluations (the anneal inner loop) on 4x4",
+            about: "1024 swap/flip deltas of the public reference pricing on the all-+ identity state of a 4x4 problem (not the annealer's kernel)",
             setup: |_cfg| {
                 let problem = GAUSS_4X4.build_problem().expect("bench problem builds");
                 let assignment = SignedPerm::identity(16);
@@ -446,6 +471,18 @@ const SEQ_2X4_MIN: ExplainSpec = ExplainSpec {
     cycles: 20_000,
     seed: 3,
 };
+/// A `fig3_gauss` job of the repository benchmark, in the state its
+/// pipeline anneals it: 4×4 wide pitch, a 16-bit Gaussian stream.
+const FIG3_GAUSS_4X4: ExplainSpec = ExplainSpec {
+    rows: 4,
+    cols: 4,
+    geometry: GeometryKind::Wide,
+    stream: StreamSpec::Gaussian(1_000.0, -0.3),
+    cycles: 30_000,
+    seed: 1,
+};
+/// `core.anneal_4x4_serial`'s power, as the annealer first returned it.
+const FIG3_GAUSS_4X4_POWER_BITS: u64 = 0x3d59_4ecf_57c1_f3f1;
 /// The Gaussian 4×4 problem of most core cases.
 const GAUSS_4X4: ExplainSpec = wide(4, StreamSpec::Gaussian(3_000.0, 0.4), 42);
 /// The large-bundle Gaussian 6×6 problem.
