@@ -8,9 +8,9 @@
 #   ci/smoke.sh [OUT_DIR]
 #
 # Everything the run writes (regenerated tables, BENCH files, ledger
-# copies, traces, pulse profiles, SVGs, dashboards) lands under OUT_DIR,
-# default a fresh temporary directory, so the checkout stays clean. Run
-# from anywhere; it builds the release binaries first. Checks read
+# copies, traces, SVGs, dashboards) lands under OUT_DIR, default a
+# fresh temporary directory, so the checkout stays clean. Run from
+# anywhere; it builds the release binaries first. Checks read
 # output from files, never through `| grep -q`: grep quitting early
 # would break the producer's pipe and, under pipefail, fail the check.
 set -euo pipefail
@@ -21,7 +21,6 @@ OUT=${1:-$(mktemp -d)}
 mkdir -p "$OUT/dash"
 OUT=$(cd "$OUT" && pwd)
 BIN="$ROOT/target/release/tsv3d"
-trap 'kill $(jobs -p) 2>/dev/null || true' EXIT
 
 step() { printf '\n== %s\n' "$*"; }
 fail() { echo "smoke: $*" >&2; exit 1; }
@@ -36,20 +35,6 @@ expect() {
 }
 # median FILE: the median wall time of a BENCH artifact, in ns.
 median() { grep -o '"wall_ns":{"median":[0-9]*' "$1" | grep -o '[0-9]*$'; }
-# serve LOG ARGS...: starts `tsv3d serve` on a free port in the
-# background; sets SERVE_PID and ADDR once it has announced itself.
-serve() {
-  local log=$1
-  shift
-  "$BIN" serve --addr 127.0.0.1:0 "$@" > "$log" &
-  SERVE_PID=$!
-  for _ in $(seq 100); do
-    ADDR=$(sed -n 's|^serving metrics on http://\(.*\)/$|\1|p' "$log")
-    [ -n "$ADDR" ] && return 0
-    sleep 0.1
-  done
-  return 1
-}
 
 step "Build (release)"
 cargo build --release -p tsv3d-experiments
@@ -67,7 +52,7 @@ body() { sed -e '/^telemetry summary/,$d' -e '/^([0-9]* rows; +[0-9.]* s wall)$/
 step "Paper artifacts regenerate (results/*.txt)"
 mkdir -p "$OUT/artifacts"
 for b in "${ARTIFACTS[@]}"; do
-  (cd "$OUT/artifacts" && env -u TSV3D_TELEMETRY -u TSV3D_METRICS_ADDR \
+  (cd "$OUT/artifacts" && env -u TSV3D_TELEMETRY \
     "$ROOT/target/release/$b" > "$b.txt")
   body "$OUT/artifacts/$b.txt" > "$OUT/artifacts/$b.got"
   body "results/$b.txt" > "$OUT/artifacts/$b.want"
@@ -114,47 +99,12 @@ step "Benchmark package smoke"
 cargo run --release --quiet --offline \
   --manifest-path crates/bench/examples/benchmark/Cargo.toml -- --smoke
 
-step "Serve + scrape /healthz /metrics /runs (warn-only)"
-scrape() {
-  curl -fsS "http://$ADDR/healthz" &&
-    curl -fsS "http://$ADDR/metrics" > "$OUT/scrape.prom" &&
-    grep -m5 '^tsv3d_' "$OUT/scrape.prom" &&
-    curl -fsS "http://$ADDR/runs" &&
-    wait "$SERVE_PID"
-}
-if ! { serve "$OUT/serve.log" --demo --history tests/data/history_steady.jsonl \
-  --max-requests 3 && scrape; }; then
-  echo "::warning::warn-only check failed: serve scrape"
-  kill "$SERVE_PID" 2>/dev/null || true
-fi
-
 step "History gate fixtures hold their exit codes"
 expect 0 "$BIN" history tests/data/history_steady.jsonl --gate-detect
 expect 1 "$BIN" history tests/data/history_regressed.jsonl --gate-detect
 
-step "Live /progress answers and dash --live renders it"
-serve "$OUT/serve-demo.log" --demo || fail "serve did not announce its address"
-for _ in $(seq 100); do
-  curl -fsS "http://$ADDR/progress" > "$OUT/progress.json" &&
-    grep -q '"restart":0' "$OUT/progress.json" && break
-  sleep 0.2
-done
-grep -q '"schema":"tsv3d-pulse/v1"' "$OUT/progress.json"
-grep -q '"restart":0' "$OUT/progress.json"
-curl -fsS "http://$ADDR/metrics" > "$OUT/live.prom"
-grep -q '^tsv3d_run_progress_iterations{restart="0"}' "$OUT/live.prom"
-grep -q '^tsv3d_run_stalled{restart="0"} 0' "$OUT/live.prom"
-"$BIN" dash --live "$ADDR" --bench-dir "$OUT/bench" --out "$OUT/dash/live.html" \
-  --format json > "$OUT/dash/live.json"
-grep -q '"stalled":0' "$OUT/dash/live.json"
-grep -q '<td>r0</td>' "$OUT/dash/live.html"
-kill "$SERVE_PID"
-
-step "Instrumented run writes a sampled profile; converge replays its trace"
-(cd "$OUT" && TSV3D_TELEMETRY=json TSV3D_METRICS_ADDR=127.0.0.1:0 TSV3D_PULSE_SAMPLE_MS=2 \
-  "$BIN" assign --rows 4 --cols 4 --method anneal > /dev/null)
-test -s "$OUT/results/tsv3d_pulse.folded"
-grep -q 'sampled span stacks' "$OUT/results/tsv3d_pulse.svg"
+step "Instrumented assign run; converge replays its trace"
+(cd "$OUT" && TSV3D_TELEMETRY=json "$BIN" assign --rows 4 --cols 4 --method anneal > /dev/null)
 "$BIN" converge "$OUT/results/tsv3d_telemetry.jsonl" > "$OUT/replay.txt"
 grep -q 'restart series' "$OUT/replay.txt"
 

@@ -438,7 +438,6 @@ mod tests {
             p95_ns: None,
             alloc_bytes_per_iter: alloc,
             wall_s: None,
-            stalls: None,
             threads: 4,
             available_parallelism: None,
         }

@@ -1,6 +1,6 @@
 //! The argument and exit-code scaffold of all `tsv3d` commands, and
 //! the observability subcommands: `bench`, `trace`, `converge`,
-//! `explain`, `history`, `serve` and `dash`.
+//! `explain`, `history` and `dash`.
 //!
 //! Each command is one [`Subcommand`] entry of a static table: its
 //! summary, usage text, flag table, positional count and `run`
@@ -11,8 +11,8 @@
 //! problem grammar. Everything returns an exit code instead of calling
 //! `std::process::exit` so the logic stays testable in-process.
 //!
-//! Exit codes: `0` success, `1` failure (I/O, a gated regression, a
-//! stalled live run, a failed bind), `2` usage error or malformed input.
+//! Exit codes: `0` success, `1` failure (I/O, a gated regression),
+//! `2` usage error or malformed input.
 
 use crate::analytics;
 use crate::converge;
@@ -27,9 +27,7 @@ use crate::trace;
 use std::fmt::Display;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
-use tsv3d_telemetry::export::{MetricsServer, RunsJson};
-use tsv3d_telemetry::pulse::Pulse;
-use tsv3d_telemetry::{JsonLinesSink, NullSink, Sink, TelemetryHandle, Value};
+use tsv3d_telemetry::{JsonLinesSink, Sink, TelemetryHandle, Value};
 
 /// Usage text of `tsv3d bench`.
 pub const BENCH_USAGE: &str = "\
@@ -148,47 +146,6 @@ Options:
                         tsv3d-history-detect/v1 object
 ";
 
-/// Usage text of `tsv3d serve`.
-pub const SERVE_USAGE: &str = "\
-Usage: tsv3d serve [options]
-
-Starts a std-only HTTP listener exposing live metrics:
-  /metrics   Prometheus text exposition format (counters, log2
-             histogram buckets, allocator gauges, and the
-             tsv3d_run_progress_*/tsv3d_run_stalled pulse gauges)
-  /healthz   liveness probe (`ok`)
-  /runs      recent tsv3d-history/v1 run records as JSON
-  /progress  live per-restart progress as tsv3d-pulse/v1 JSON
-             (rendered by `tsv3d dash --live`)
-  /dash      the `tsv3d dash` HTML dashboard rendered live from the
-             bench artifacts, the ledger, and an in-process /metrics
-             snapshot
-
-Every endpoint also answers HEAD with the same status, Content-Type
-and Content-Length as GET and an empty body. The exporter answers
-every scrape from a registry snapshot and its only writes are its own
-serve.requests.* counters (per-endpoint plus a 4xx/bad-request
-counter, visible on the next /metrics scrape), so serving never
-perturbs measured results. The bound address is printed on stdout
-(useful with port 0).
-
-Options:
-  --addr HOST:PORT      bind address (default 127.0.0.1:9184, or the
-                        TSV3D_METRICS_ADDR env var; port 0 picks a
-                        free port)
-  --history FILE        ledger backing /runs and the /dash trend
-                        sections (default results/history.jsonl;
-                        missing file serves [])
-  --bench-dir DIR       bench artifacts backing the /dash case table
-                        (default results/bench; missing dir serves an
-                        empty table)
-  --demo                run the anneal_quick_3x3 workload in a loop on
-                        a background thread so /metrics shows a live,
-                        growing registry
-  --max-requests N      exit 0 after serving N requests (smoke tests;
-                        default: serve until killed)
-";
-
 /// Usage text of `tsv3d dash`.
 pub const DASH_USAGE: &str = "\
 Usage: tsv3d dash [options]
@@ -198,20 +155,14 @@ page (inline CSS, inline SVGs, no scripts, no external assets) fusing
 the BENCH_<case>.json artifacts, the history ledger's trailing-window
 trends and changepoint verdicts, an optional flamegraph trace, an
 optional convergence trace, the built-in attribution heatmap, the
-committed experiment artifacts, and optional live scrapes — plus a
-machine-readable tsv3d-dash/v1 JSON index with --format json.
+committed experiment artifacts — plus a machine-readable
+tsv3d-dash/v1 JSON index with --format json.
 
 The page is a pure function of its inputs: no wall clock, no current
 git revision — byte-identical across repeated runs. Malformed
 artifacts and ledger lines are skipped and counted, never fatal;
 missing *default* inputs degrade to empty sections, while an
 explicitly-given file that cannot be read is an error (exit 1).
-
-With --live the page is written first, then the exit code reports the
-live run: 0 when every restart is live or done, 1 when the watchdog
-flags a restart stalled (named on stderr), 2 for a malformed /progress
-document. An endpoint that is down or silent for 5 s exits 1 and no
-page is written.
 
 Options:
   --bench-dir DIR       bench artifact directory to scan for
@@ -222,10 +173,6 @@ Options:
                         panel
   --artifacts DIR       directory of committed experiment .txt
                         artifacts to list (default results)
-  --live ADDR           also scrape a live `tsv3d serve`: /metrics
-                        verbatim, /progress as a per-restart table
-                        (done/planned, best power, ETA or STALLED);
-                        the one non-reproducible section, by design
   --out FILE            HTML output path (default
                         results/dashboard.html)
   --window K            trailing records in the trend window
@@ -317,7 +264,7 @@ pub struct Subcommand {
 }
 
 /// Every observability subcommand of the `tsv3d` binary.
-pub const SUBCOMMANDS: [Subcommand; 7] = [
+pub const SUBCOMMANDS: [Subcommand; 6] = [
     Subcommand {
         name: "bench",
         about: "run the benchmark registry, write BENCH_*.json artifacts",
@@ -400,22 +347,8 @@ pub const SUBCOMMANDS: [Subcommand; 7] = [
         run: run_history,
     },
     Subcommand {
-        name: "serve",
-        about: "HTTP listener: /metrics /healthz /runs /progress /dash",
-        usage: SERVE_USAGE,
-        flags: &[
-            ("--addr", One),
-            ("--history", One),
-            ("--bench-dir", One),
-            ("--demo", Switch),
-            ("--max-requests", One),
-        ],
-        positionals: 0,
-        run: run_serve,
-    },
-    Subcommand {
         name: "dash",
-        about: "render the observability dashboard (HTML, --live progress)",
+        about: "render the observability dashboard (HTML, --format json index)",
         usage: DASH_USAGE,
         flags: &[
             ("--bench-dir", One),
@@ -423,7 +356,6 @@ pub const SUBCOMMANDS: [Subcommand; 7] = [
             ("--trace", One),
             ("--converge", One),
             ("--artifacts", One),
-            ("--live", One),
             ("--out", One),
             ("--window", One),
             ("--detect-pct", One),
@@ -814,9 +746,8 @@ fn run_bench(args: &Args) -> Result<i32, Fail> {
                     .as_ref()
                     .map(|m| m.median_iter_bytes as f64),
                 // Bench cases summarise per-iteration timing; total
-                // wall time and stall counts belong to run records.
+                // wall time belongs to run records.
                 wall_s: None,
-                stalls: None,
                 threads: r.threads,
                 available_parallelism: r.available_parallelism,
             })
@@ -1111,11 +1042,6 @@ fn run_dash(args: &Args) -> Result<i32, Fail> {
         sources.converge = Some((path.display().to_string(), read(&path)?));
     }
     sources.artifacts = scan("artifacts", &artifacts_dir, |name| name.ends_with(".txt"));
-    if let Some(addr) = args.str("--live") {
-        let fetch = |path: &str| dash::fetch_path(addr, path).map_err(Fail::Runtime);
-        sources.live.push(fetch("/metrics")?);
-        sources.progress = Some(fetch("/progress")?);
-    }
 
     let data = dash::build(&sources, &opts);
     let html = dash::render_html(&data);
@@ -1134,97 +1060,6 @@ fn run_dash(args: &Args) -> Result<i32, Fail> {
             data.verdicts.iter().filter(|v| v.regressed()).count()
         );
     }
-    // The live run's verdict, once the page is written.
-    let stalled = data.stalled().join(", ");
-    match &data.progress {
-        Some((_, Err(message))) => {
-            eprintln!("error: {message}");
-            Ok(2)
-        }
-        _ if !stalled.is_empty() => Err(Fail::Runtime(format!("stalled restart(s): {stalled}"))),
-        _ => Ok(0),
-    }
-}
-
-/// Runs `tsv3d serve`.
-fn run_serve(args: &Args) -> Result<i32, Fail> {
-    let max_requests: Option<u64> = args.value("--max-requests")?;
-    let demo = args.switch("--demo");
-    let history_path = args.path_or("--history", "results/history.jsonl");
-    let bench_dir = args.path_or("--bench-dir", "results/bench");
-    let addr = args
-        .str("--addr")
-        .map(str::to_string)
-        .or_else(|| {
-            std::env::var("TSV3D_METRICS_ADDR")
-                .ok()
-                .filter(|a| !a.is_empty())
-        })
-        .unwrap_or_else(|| "127.0.0.1:9184".to_string());
-
-    // The serve registry aggregates locally (NullSink): scrape state
-    // lives in the counters/histograms, not an event stream. A pulse
-    // rides along so any annealing the handle observes (the --demo
-    // loop today, in-process optimizer work tomorrow) shows up on
-    // /progress and the tsv3d_run_* gauges.
-    let tel = TelemetryHandle::with_sink(Box::new(NullSink))
-        .with_pulse(std::sync::Arc::new(Pulse::new()));
-    let runs: RunsJson = {
-        let path = history_path.clone();
-        std::sync::Arc::new(move || match std::fs::read_to_string(&path) {
-            Ok(text) => history::runs_json(&history::parse_ledger(&text), 50),
-            Err(_) => "[]\n".to_string(),
-        })
-    };
-    let dash_html = dash::served_page(bench_dir, history_path.clone(), tel.clone());
-    let server = MetricsServer::start_with(addr.as_str(), &tel, Some(runs), Some(dash_html))
-        .map_err(|message| Fail::Runtime(format!("cannot bind `{addr}`: {message}")))?;
-    // Stdout is line-buffered even when piped: smoke tests parse the
-    // resolved address (port 0 → real port) from this line.
-    println!("serving metrics on http://{}/", server.local_addr());
-    println!(
-        "endpoints: /metrics /healthz /runs /progress /dash  (history: {})",
-        history_path.display()
-    );
-
-    let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let demo_thread = demo.then(|| {
-        let case = registry::cases()
-            .into_iter()
-            .find(|c| c.name == "anneal_quick_3x3")
-            .expect("demo case is registered");
-        let mut body = (case.setup)(&registry::BenchConfig::default());
-        let tel = tel.clone();
-        let stop = std::sync::Arc::clone(&stop);
-        std::thread::spawn(move || {
-            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                let _span = tel.span("serve.demo_iteration");
-                body(&tel);
-            }
-        })
-    });
-    if demo {
-        println!("demo workload: anneal_quick_3x3 looping in the background");
-    }
-
-    match max_requests {
-        Some(limit) => {
-            while server.requests_served() < limit {
-                std::thread::sleep(std::time::Duration::from_millis(25));
-            }
-        }
-        // Until killed: the accept loop does the work; this thread
-        // only has to stay alive.
-        None => loop {
-            std::thread::sleep(std::time::Duration::from_secs(3600));
-        },
-    }
-    stop.store(true, std::sync::atomic::Ordering::Relaxed);
-    if let Some(thread) = demo_thread {
-        let _ = thread.join();
-    }
-    println!("served {} request(s); exiting", server.requests_served());
-    server.shutdown();
     Ok(0)
 }
 
@@ -1255,11 +1090,8 @@ mod tests {
     fn every_analysis_usage_advertises_the_format_flag() {
         // The --format json|text contract is part of every analysis
         // subcommand's surface; bench reports through its artifact
-        // schema and serve through its endpoints, so they are exempt.
-        for cmd in SUBCOMMANDS
-            .iter()
-            .filter(|c| !matches!(c.name, "bench" | "serve"))
-        {
+        // schema, so it is exempt.
+        for cmd in SUBCOMMANDS.iter().filter(|c| c.name != "bench") {
             assert!(
                 cmd.usage.contains("--format json|text"),
                 "{} usage must advertise --format json|text",
@@ -1521,24 +1353,6 @@ mod tests {
     #[test]
     fn history_missing_file_returns_1() {
         assert_eq!(run("history", &["/nonexistent/never_history.jsonl"]), 1);
-    }
-
-    #[test]
-    fn serve_usage_errors_return_2() {
-        for bad in [
-            vec!["--addr"],
-            vec!["--max-requests"],
-            vec!["--max-requests", "many"],
-            vec!["--frobnicate"],
-        ] {
-            assert_eq!(run("serve", &bad), 2, "{bad:?}");
-        }
-    }
-
-    #[test]
-    fn serve_unbindable_address_returns_1() {
-        // Port 1 on a non-local address: bind must fail fast.
-        assert_eq!(run("serve", &["--addr", "256.256.256.256:0"]), 1);
     }
 
     #[test]

@@ -120,7 +120,7 @@ pub struct ConvergeData {
     /// Lines skipped as malformed.
     pub skipped: usize,
     /// Well-formed events whose name this analysis does not consume
-    /// (span events, pulse samples, future emitters) — skipped and
+    /// (span events, other emitters' events) — skipped and
     /// counted, never misattributed.
     pub other_events: usize,
 }
@@ -1079,8 +1079,8 @@ mod tests {
 
     #[test]
     fn pulse_events_are_counted_and_leave_the_rollups_unchanged() {
-        // Interleave pulse-emitted event names (and one from the
-        // future) between every line of a clean trace.
+        // Interleave foreign event names (`pulse.*`, as older traces
+        // carry them) between every line of a clean trace.
         let clean = two_restart_trace();
         let mut mixed = String::new();
         for line in clean.lines() {

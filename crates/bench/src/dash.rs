@@ -1,8 +1,8 @@
 //! `tsv3d dash` — the unified observability dashboard.
 //!
 //! Per-case `BENCH_*.json` artifacts, the history ledger, trace
-//! flamegraphs, convergence reports, attribution heatmaps and the
-//! live pulse each answer one question through one subcommand. This
+//! flamegraphs, convergence reports and attribution heatmaps each
+//! answer one question through one subcommand. This
 //! module fuses them into a **single self-contained HTML page** —
 //! inline CSS, inline SVGs reusing the [`crate::svg`] primitives, no
 //! external assets, no JavaScript — that answers "is the system
@@ -15,12 +15,7 @@
 //! stamped — every timestamp and revision shown comes from the input
 //! artifacts themselves ("data as of" is the newest `unix_time_s`
 //! across inputs) and bench files are consumed in sorted filename
-//! order, so repeated renders are byte-identical. The live sections
-//! are the explicit exception: a `/metrics` scrape and the
-//! per-restart `/progress` table with the pulse watchdog's stall
-//! verdicts reflect a moment of a running process and are simply
-//! omitted when no live source is given, keeping committed dashboards
-//! reproducible.
+//! order, so repeated renders are byte-identical.
 //!
 //! Input robustness follows the ledger policy: unreadable or malformed
 //! artifacts are skipped and counted, never fatal.
@@ -28,25 +23,18 @@
 use crate::analytics::{self, CaseVerdicts, SeriesVerdict};
 use crate::explain::{self, ExplainSpec, Method};
 use crate::history::{self, group_records, Ledger, TrendRow, TrendStatus};
-use crate::json::{self, JsonValue, ObjectWriter};
+use crate::json::ObjectWriter;
 use crate::report;
 use crate::svg::{fnv1a, sparkline, xml_escape};
 use crate::{converge, flamegraph, trace};
 use std::fmt::Write as _;
-use std::io::ErrorKind::{self, Interrupted, TimedOut, WouldBlock};
-use std::io::{Read as _, Write as _};
-use std::net::{TcpStream, ToSocketAddrs};
-use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
-use tsv3d_telemetry::export::{self, DashHtml};
-use tsv3d_telemetry::pulse::PULSE_SCHEMA;
-use tsv3d_telemetry::TelemetryHandle;
+use std::path::Path;
 
 /// Schema tag of the `--format json` index document.
 pub const DASH_SCHEMA: &str = "tsv3d-dash/v1";
 
 /// Everything the dashboard ingests, already read into memory (the
-/// CLI and the `/dash` endpoint do the I/O; the build stays pure).
+/// CLI does the I/O; the build stays pure).
 #[derive(Debug, Clone, Default)]
 pub struct DashSources {
     /// Display label of the bench artifact directory.
@@ -64,10 +52,6 @@ pub struct DashSources {
     /// `(filename, text)` of committed experiment `.txt` artifacts,
     /// sorted by filename.
     pub artifacts: Vec<(String, String)>,
-    /// `(endpoint label, body)` of live scrapes, in scrape order.
-    pub live: Vec<(String, String)>,
-    /// `(endpoint label, body)` of a live `/progress` scrape.
-    pub progress: Option<(String, String)>,
 }
 
 /// Build knobs.
@@ -86,141 +70,6 @@ impl Default for DashOptions {
             detect_pct: analytics::DEFAULT_DETECT_PCT,
         }
     }
-}
-
-/// One restart's row of a live `/progress` document.
-#[derive(Debug, Clone)]
-pub struct ProgressRow {
-    /// Restart index.
-    pub restart: u64,
-    /// Iterations completed.
-    pub iters_done: u64,
-    /// Iterations planned (0 when the document never said).
-    pub iters_planned: u64,
-    /// Best energy so far; `None` before the first report.
-    pub best_power: Option<f64>,
-    /// Accepted moves so far.
-    pub accepts: u64,
-    /// `"idle"`, `"running"` or `"done"`.
-    pub state: String,
-    /// The pulse watchdog's verdict.
-    pub stalled: bool,
-    /// Estimated seconds to completion, when computable.
-    pub eta_s: Option<f64>,
-}
-
-/// Parses a `/progress` document (schema `tsv3d-pulse/v1`) into its
-/// per-restart rows. A running restart's ETA is the linear
-/// extrapolation `uptime × remaining / done`, once it has reported an
-/// iteration.
-///
-/// # Errors
-///
-/// A human-readable message when the body is not JSON (nesting deeper
-/// than the parser's cap included), carries the wrong `schema` tag, or
-/// has no `restarts` array — `tsv3d dash --live` exits 2 on these.
-pub(crate) fn parse_progress(body: &str) -> Result<Vec<ProgressRow>, String> {
-    let doc = json::parse(body).map_err(|e| format!("malformed progress document: {e}"))?;
-    let schema = doc
-        .get("schema")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| "progress document has no `schema` field".to_string())?;
-    if schema != PULSE_SCHEMA {
-        return Err(format!(
-            "unsupported schema `{schema}` (expected `{PULSE_SCHEMA}`)"
-        ));
-    }
-    let uptime_s = doc
-        .get("uptime_s")
-        .and_then(JsonValue::as_f64)
-        .unwrap_or(0.0);
-    let restarts = doc
-        .get("restarts")
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| "progress document has no `restarts` array".to_string())?;
-    Ok(restarts
-        .iter()
-        .enumerate()
-        .map(|(i, entry)| {
-            let field = |key: &str| entry.get(key).and_then(JsonValue::as_u64);
-            let (iters_done, iters_planned) = (
-                field("iters_done").unwrap_or(0),
-                field("iters_planned").unwrap_or(0),
-            );
-            let state = entry
-                .get("state")
-                .and_then(JsonValue::as_str)
-                .unwrap_or("idle")
-                .to_string();
-            let eta_s = (state == "running" && iters_done > 0 && iters_planned > iters_done)
-                .then(|| uptime_s * (iters_planned - iters_done) as f64 / iters_done as f64);
-            ProgressRow {
-                restart: field("restart").unwrap_or(i as u64),
-                iters_done,
-                iters_planned,
-                best_power: entry.get("best_power").and_then(JsonValue::as_f64),
-                accepts: field("accepts").unwrap_or(0),
-                state,
-                stalled: matches!(entry.get("stalled"), Some(JsonValue::Bool(true))),
-                eta_s,
-            }
-        })
-        .collect())
-}
-
-/// How long one live fetch may take in total, connect included.
-const FETCH_DEADLINE: Duration = Duration::from_secs(5);
-
-/// GETs `path` from a live `tsv3d serve` over plain `std::net` and
-/// returns the URL with the response body. The connect and the whole
-/// exchange share one [`FETCH_DEADLINE`] and each read waits only for
-/// the time left, so a server that trickles bytes cannot hold the
-/// caller; a response over 16 MiB is refused.
-///
-/// # Errors
-///
-/// Connection, read and deadline failures, oversized responses and
-/// non-200 answers, as messages; `tsv3d dash --live` exits 1 on them.
-pub(crate) fn fetch_path(addr: &str, path: &str) -> Result<(String, String), String> {
-    let deadline = Instant::now() + FETCH_DEADLINE;
-    let remaining = || deadline.saturating_duration_since(Instant::now());
-    let mut error = std::io::Error::from(ErrorKind::AddrNotAvailable);
-    let mut stream = addr
-        .to_socket_addrs()
-        .map_err(|e| format!("cannot resolve `{addr}`: {e}"))?
-        .find_map(|target| {
-            TcpStream::connect_timeout(&target, remaining())
-                .map_err(|e| error = e)
-                .ok()
-        })
-        .ok_or_else(|| format!("cannot connect to `{addr}`: {error}"))?;
-    // One write, so the request head leaves in one segment.
-    let request = format!("GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n");
-    stream
-        .write_all(request.as_bytes())
-        .map_err(|e| format!("cannot send request to `{addr}`: {e}"))?;
-    let (mut response, mut chunk) = (Vec::new(), [0u8; 8192]);
-    loop {
-        let left = remaining();
-        let timed = !left.is_zero() && stream.set_read_timeout(Some(left)).is_ok();
-        if !timed || response.len() > 16 << 20 {
-            return Err(format!("`{addr}` did not answer {path} in 5 s / 16 MiB"));
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => response.extend_from_slice(&chunk[..n]),
-            // A timed-out read loops back to the deadline check.
-            Err(e) if matches!(e.kind(), WouldBlock | TimedOut | Interrupted) => {}
-            Err(e) => return Err(format!("cannot read response from `{addr}`: {e}")),
-        }
-    }
-    let response = String::from_utf8_lossy(&response);
-    let (head, body) = response.split_once("\r\n\r\n").unwrap_or((&response, ""));
-    let status = head.lines().next().unwrap_or("");
-    if !status.contains(" 200 ") {
-        return Err(format!("`{addr}` answered `{status}`"));
-    }
-    Ok((format!("http://{addr}{path}"), body.to_string()))
 }
 
 /// Reads every file in `dir` whose name passes `keep`, in sorted
@@ -252,27 +101,6 @@ pub(crate) fn collect_files(
 /// `BENCH_<case>.json` artifact names.
 pub(crate) fn is_bench_artifact(name: &str) -> bool {
     name.starts_with("BENCH_") && name.ends_with(".json")
-}
-
-/// The `/dash` renderer of `tsv3d serve` and the `TSV3D_METRICS_ADDR`
-/// exporter: every request re-reads the bench dir and the ledger, and
-/// the live section is an in-process `/metrics` snapshot of `tel`.
-pub fn served_page(bench_dir: PathBuf, ledger: PathBuf, tel: TelemetryHandle) -> DashHtml {
-    std::sync::Arc::new(move || {
-        let sources = DashSources {
-            bench_dir: bench_dir.display().to_string(),
-            bench_files: collect_files(&bench_dir, is_bench_artifact).unwrap_or_default(),
-            history: std::fs::read_to_string(&ledger)
-                .ok()
-                .map(|text| (ledger.display().to_string(), text)),
-            live: vec![(
-                "in-process /metrics snapshot".to_string(),
-                export::render_prometheus(&export::MetricsSnapshot::capture(&tel)),
-            )],
-            ..DashSources::default()
-        };
-        render_html(&build(&sources, &DashOptions::default()))
-    })
 }
 
 /// One parsed bench artifact row.
@@ -359,25 +187,8 @@ pub struct DashData {
     pub heatmap: Section,
     /// Committed experiment artifacts.
     pub artifacts: Vec<ArtifactNote>,
-    /// Live scrape sections shown verbatim.
-    pub live: Vec<(String, String)>,
-    /// The live `/progress` label and its rows, or why they did not parse.
-    pub progress: Option<(String, Result<Vec<ProgressRow>, String>)>,
     /// Newest `unix_time_s` across all inputs.
     pub data_as_of: Option<u64>,
-}
-
-impl DashData {
-    /// Labels (`r0`, …) of the restarts the live watchdog flags stalled.
-    pub(crate) fn stalled(&self) -> Vec<String> {
-        let Some((_, Ok(rows))) = &self.progress else {
-            return Vec::new();
-        };
-        rows.iter()
-            .filter(|r| r.stalled)
-            .map(|r| format!("r{}", r.restart))
-            .collect()
-    }
 }
 
 fn parse_bench_file(file: &str, text: &str) -> Result<BenchRow, String> {
@@ -518,11 +329,6 @@ pub fn build(sources: &DashSources, opts: &DashOptions) -> DashData {
         converge: conv,
         heatmap: reference_heatmap(),
         artifacts,
-        live: sources.live.clone(),
-        progress: sources
-            .progress
-            .as_ref()
-            .map(|(label, body)| (label.clone(), parse_progress(body))),
         data_as_of,
     }
 }
@@ -769,20 +575,6 @@ pub fn render_html(data: &DashData) -> String {
         out.push_str("</table>\n");
     }
 
-    for (label, body) in &data.live {
-        let _ = writeln!(out, "<h2>Live: {}</h2>", xml_escape(label));
-        let _ = writeln!(out, "<pre>{}</pre>", xml_escape(body));
-    }
-    if let Some((label, progress)) = &data.progress {
-        let _ = writeln!(out, "<h2>Live: {}</h2>", xml_escape(label));
-        match progress {
-            Ok(rows) => render_progress(&mut out, rows),
-            Err(message) => {
-                let _ = writeln!(out, "<p class=\"meta\">{}</p>", xml_escape(message));
-            }
-        }
-    }
-
     out.push_str("<footer>");
     if !data.bench_skipped.is_empty() {
         let _ = write!(
@@ -799,39 +591,6 @@ pub fn render_html(data: &DashData) -> String {
     );
     out.push_str("</footer>\n</body>\n</html>\n");
     out
-}
-
-/// Renders the per-restart `/progress` table: done/planned, percent,
-/// best power, accepts, state, then the ETA — or `STALLED` where the
-/// watchdog flags the restart.
-fn render_progress(out: &mut String, rows: &[ProgressRow]) {
-    out.push_str(
-        "<table>\n<tr><th>restart</th><th>done/planned</th><th>%</th>\
-         <th>best power</th><th>accepts</th><th>state</th><th>eta</th></tr>\n",
-    );
-    for row in rows {
-        let (class, eta) = match (row.stalled, row.state.as_str(), row.eta_s) {
-            (true, _, _) => ("bad", "STALLED".to_string()),
-            (false, "done", _) => ("num", "-".to_string()),
-            (false, _, Some(secs)) => ("num", format!("{secs:.1} s")),
-            (false, _, None) => ("num", "?".to_string()),
-        };
-        let _ = writeln!(
-            out,
-            "<tr><td>r{}</td><td class=\"num\">{}/{}</td><td class=\"num\">{:.1}%</td>\
-             <td class=\"num\">{}</td><td class=\"num\">{}</td><td>{}</td>\
-             <td class=\"{class}\">{eta}</td></tr>",
-            row.restart,
-            row.iters_done,
-            row.iters_planned,
-            100.0 * row.iters_done as f64 / row.iters_planned.max(1) as f64,
-            row.best_power
-                .map_or_else(|| "-".to_string(), |v| format!("{v:.6e}")),
-            row.accepts,
-            xml_escape(&row.state),
-        );
-    }
-    out.push_str("</table>\n");
 }
 
 /// Renders the machine-readable index (`tsv3d-dash/v1`).
@@ -866,11 +625,7 @@ pub fn render_json(data: &DashData) -> String {
             if data.converge.is_some() { "true" } else { "false" },
         )
         .raw("heatmap", "true")
-        .u64("artifacts", data.artifacts.len() as u64)
-        .u64(
-            "live",
-            (data.live.len() + usize::from(data.progress.is_some())) as u64,
-        );
+        .u64("artifacts", data.artifacts.len() as u64);
         w.finish()
     };
     let mut w = ObjectWriter::new();
@@ -889,7 +644,6 @@ pub fn render_json(data: &DashData) -> String {
             "regressed",
             data.verdicts.iter().filter(|v| v.regressed()).count() as u64,
         )
-        .u64("stalled", data.stalled().len() as u64)
         .raw("bench", &format!("[{}]", bench_docs.join(",")))
         .raw("detect", &format!("[{}]", detect_docs.join(",")))
         .raw("sections", &sections);
@@ -899,6 +653,7 @@ pub fn render_json(data: &DashData) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::{self, JsonValue};
 
     fn bench_text(case: &str, median: u64, rev: &str, t: u64) -> String {
         format!(
@@ -952,7 +707,6 @@ mod tests {
                 "fig3_gaussian.txt".to_string(),
                 "Figure 3 sweep\ndata...\n".to_string(),
             )],
-            ..DashSources::default()
         }
     }
 
@@ -1069,90 +823,9 @@ mod tests {
     }
 
     #[test]
-    fn live_sections_are_escaped_preformatted_blocks() {
-        let mut src = sources();
-        src.live = vec![(
-            "/metrics".to_string(),
-            "tsv3d_uptime_seconds 1.5\n<evil>\n".to_string(),
-        )];
-        let html = render_html(&build(&src, &DashOptions::default()));
-        assert!(html.contains("Live: /metrics"), "{html}");
-        assert!(html.contains("&lt;evil&gt;"), "escaped: {html}");
-    }
-
-    #[test]
     fn inline_svg_strips_only_the_xml_declaration() {
         let full = "<?xml version=\"1.0\"?>\n<svg>x</svg>";
         assert_eq!(inline_svg(full), "<svg>x</svg>");
         assert_eq!(inline_svg("<svg>y</svg>"), "<svg>y</svg>");
-    }
-
-    fn live_doc() -> String {
-        concat!(
-            "{\"schema\":\"tsv3d-pulse/v1\",\"tick\":8,\"stall_after\":40,",
-            "\"uptime_s\":10.0,\"restarts\":[",
-            "{\"restart\":0,\"iters_done\":250,\"iters_planned\":1000,",
-            "\"best_power\":0.5,\"accepts\":17,\"state\":\"running\",\"stalled\":false},",
-            "{\"restart\":1,\"iters_done\":1000,\"iters_planned\":1000,",
-            "\"best_power\":0.25,\"accepts\":40,\"state\":\"done\",\"stalled\":false}]}"
-        )
-        .to_string()
-    }
-
-    /// The dashboard with `body` as its live `/progress` scrape.
-    fn with_progress(body: &str) -> DashData {
-        let mut src = sources();
-        src.progress = Some(("/progress".to_string(), body.to_string()));
-        build(&src, &DashOptions::default())
-    }
-
-    #[test]
-    fn parses_a_live_document_with_etas() {
-        let rows = parse_progress(&live_doc()).expect("parses");
-        assert_eq!(rows.len(), 2);
-        assert_eq!((rows[0].iters_done, rows[0].best_power), (250, Some(0.5)));
-        // 10 s for 250 of 1000 iterations → 30 s to go.
-        assert_eq!(rows[0].eta_s, Some(30.0));
-        assert_eq!((rows[1].state.as_str(), rows[1].eta_s), ("done", None));
-        let data = with_progress(&live_doc());
-        assert!(data.stalled().is_empty());
-        let html = render_html(&data);
-        for cell in ["<td>r0</td>", "<td>running</td>", "30.0 s</td>"] {
-            assert!(html.contains(cell), "{cell}: {html}");
-        }
-    }
-
-    #[test]
-    fn null_best_power_renders_as_a_dash() {
-        // A restart before its first report has no best power yet.
-        let doc = live_doc().replace("\"best_power\":0.5", "\"best_power\":null");
-        assert_eq!(parse_progress(&doc).unwrap()[0].best_power, None);
-        let html = render_html(&with_progress(&doc));
-        let no_power = "25.0%</td><td class=\"num\">-</td>";
-        assert!(html.contains(no_power), "{html}");
-    }
-
-    #[test]
-    fn stalled_rows_drive_the_exit_code() {
-        let data = with_progress(&live_doc().replacen("\"stalled\":false", "\"stalled\":true", 1));
-        assert_eq!(data.stalled(), vec!["r0".to_string()]);
-        assert!(render_html(&data).contains("<td class=\"bad\">STALLED</td>"));
-        let index = json::parse(&render_json(&data)).unwrap();
-        assert_eq!(index.get("stalled").and_then(JsonValue::as_u64), Some(1));
-    }
-
-    #[test]
-    fn wrong_schema_and_broken_json_are_errors() {
-        for (body, error) in [
-            ("{\"schema\":\"v9\",\"restarts\":[]}", "unsupported schema"),
-            ("{not json", "malformed"),
-            ("{\"schema\":\"tsv3d-pulse/v1\"}", "restarts"),
-        ] {
-            assert!(parse_progress(body).unwrap_err().contains(error), "{body}");
-        }
-        // A malformed scrape renders its reason in place of the table.
-        let data = with_progress("{not json");
-        assert!(data.stalled().is_empty());
-        assert!(render_html(&data).contains("malformed progress document"));
     }
 }

@@ -14,8 +14,7 @@
 //!   because here the color must encode magnitude, not identity),
 //! * `--compare` diff reports attributing the savings of one
 //!   assignment over another pair-by-pair,
-//! * a `tsv3d-explain/v1` JSON shape ready for `tsv3d serve` to
-//!   embed.
+//! * a `tsv3d-explain/v1` JSON shape for machine consumers.
 //!
 //! Everything is a pure function of the (seeded) problem spec and the
 //! assignments, so text, JSON and SVG outputs are byte-identical
@@ -284,7 +283,9 @@ impl ExplainSpec {
 
     /// Resolves the explained assignment: either a method's output, with
     /// a quick fixed anneal budget, or an explicit compact-form
-    /// permutation string.
+    /// permutation string. B&B's name carries its proof status
+    /// (`bnb, proven optimal` or `bnb, budget exhausted`), so a report
+    /// never reads an unproven incumbent as an optimum.
     pub fn resolve_assignment(
         &self,
         problem: &AssignmentProblem,
@@ -303,8 +304,12 @@ impl ExplainSpec {
             seed: self.seed,
             threads: 1,
         };
-        let (a, _) = method.solve(problem, &budget, &TelemetryHandle::disabled())?;
-        Ok((method.as_str().to_string(), a))
+        let (a, label) = method.solve(problem, &budget, &TelemetryHandle::disabled())?;
+        let name = match label.strip_prefix("branch & bound (") {
+            Some(status) => format!("bnb, {}", status.trim_end_matches(')')),
+            None => method.as_str().to_string(),
+        };
+        Ok((name, a))
     }
 }
 
@@ -533,9 +538,9 @@ fn classes_json(c: &ClassTotals) -> String {
     w.finish()
 }
 
-/// Renders the `tsv3d-explain/v1` JSON object (one line, stdout-ready,
-/// and the shape `tsv3d serve` can embed). When a [`CompareReport`] is
-/// given, its diff rides inside as the `compare` field.
+/// Renders the `tsv3d-explain/v1` JSON object (one line,
+/// stdout-ready). When a [`CompareReport`] is given, its diff rides
+/// inside as the `compare` field.
 pub fn render_json(report: &ExplainReport, top: usize, cmp: Option<&CompareReport>) -> String {
     let spec = &report.spec;
     let b = &report.breakdown;

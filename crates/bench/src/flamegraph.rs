@@ -26,9 +26,6 @@ pub enum Weighting {
     Time,
     /// Self allocated bytes.
     Bytes,
-    /// Sampling-profiler hit counts (the tsv3d-pulse span-stack
-    /// sampler's collapsed output).
-    Samples,
 }
 
 impl Weighting {
@@ -36,7 +33,6 @@ impl Weighting {
         match self {
             Weighting::Time => "ns",
             Weighting::Bytes => "B",
-            Weighting::Samples => "samples",
         }
     }
 
@@ -46,7 +42,6 @@ impl Weighting {
             // SVG and the `--collapsed` file agree on every weight.
             Weighting::Time => (path.self_s * 1e9).round().max(0.0) as u64,
             Weighting::Bytes => path.self_bytes,
-            Weighting::Samples => path.count,
         }
     }
 }
@@ -190,7 +185,6 @@ pub fn render_svg(summary: &TraceSummary, weighting: Weighting) -> String {
     let title = match weighting {
         Weighting::Time => "tsv3d flamegraph — self time",
         Weighting::Bytes => "tsv3d flamegraph — self allocated bytes",
-        Weighting::Samples => "tsv3d flamegraph — sampled span stacks",
     };
     let _ = writeln!(
         out,
@@ -224,35 +218,6 @@ pub fn render_svg(summary: &TraceSummary, weighting: Weighting) -> String {
     out
 }
 
-/// Renders collapsed-stack text (`path;to;frame count` per line, the
-/// format [`tsv3d_telemetry::pulse::SampledProfile::render_folded`]
-/// emits) as a sample-weighted flamegraph SVG.
-///
-/// Lines that do not end in an unsigned count are skipped, matching
-/// the trace reader's tolerance for foreign lines. An empty or fully
-/// skipped input yields the standard "no weighted stacks" SVG.
-pub fn render_folded_svg(folded: &str) -> String {
-    let collapsed = folded
-        .lines()
-        .filter_map(|line| {
-            let line = line.trim();
-            let (path, count) = line.rsplit_once(' ')?;
-            let count: u64 = count.parse().ok()?;
-            Some(CollapsedPath {
-                path: path.trim().to_string(),
-                self_s: 0.0,
-                count,
-                self_bytes: 0,
-            })
-        })
-        .collect();
-    let summary = TraceSummary {
-        collapsed,
-        ..TraceSummary::default()
-    };
-    render_svg(&summary, Weighting::Samples)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,7 +227,6 @@ mod tests {
         CollapsedPath {
             path: path.to_string(),
             self_s,
-            count: 1,
             self_bytes,
         }
     }
@@ -289,22 +253,6 @@ mod tests {
             assert!(svg.contains(&format!("<title>{name}:")), "missing {name}:\n{svg}");
         }
         assert_eq!(svg.matches("<g>").count(), svg.matches("</g>").count());
-    }
-
-    #[test]
-    fn folded_text_renders_a_sample_weighted_flamegraph() {
-        let folded = "main;anneal.restart;anneal.epoch 7\nmain;anneal.restart 2\nmain 1\n";
-        let svg = render_folded_svg(folded);
-        assert!(svg.contains("sampled span stacks"), "{svg}");
-        assert!(svg.contains("total: 10 samples"), "{svg}");
-        for name in ["main", "anneal.restart", "anneal.epoch"] {
-            assert!(svg.contains(&format!("<title>{name}:")), "missing {name}:\n{svg}");
-        }
-        // Foreign lines (no trailing count) are skipped, not fatal.
-        let with_noise = format!("# not a folded line\n{folded}");
-        assert_eq!(render_folded_svg(&with_noise), svg);
-        // Empty input degrades to the standard placeholder document.
-        assert!(render_folded_svg("").contains("no weighted stacks"));
     }
 
     #[test]

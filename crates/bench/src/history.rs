@@ -16,16 +16,17 @@
 //! {"schema":"tsv3d-history/v1","kind":"bench","case":"anneal_quick_3x3",
 //!  "git_rev":"c26e2ca","unix_time_s":1754400000,"median_ns":1200000,
 //!  "p95_ns":1500000,"alloc_bytes_per_iter":4096,"wall_s":2.5,
-//!  "stalls":0,"threads":4,"available_parallelism":2}
+//!  "threads":4,"available_parallelism":2}
 //! ```
 //!
-//! `p95_ns`, `alloc_bytes_per_iter`, `wall_s`, `stalls` and
+//! `p95_ns`, `alloc_bytes_per_iter`, `wall_s` and
 //! `available_parallelism` are optional (experiment runs report a
 //! single wall time; allocation data needs the counting allocator;
-//! total wall time and the stall count need a pulse attached; the core
-//! count is informational and absent from older rows). Records written
-//! before a field existed keep parsing — absent means "not measured",
-//! and the trend tables show `-`. The parser follows the same
+//! only `run` records carry a total wall time; the core count is
+//! informational and absent from older rows). Records written before a
+//! field existed keep parsing — absent means "not measured", and the
+//! trend tables show `-`; keys the schema no longer writes, such as an
+//! older row's `stalls`, are ignored. The parser follows the same
 //! robustness policy as trace analysis: malformed or truncated lines —
 //! the expected failure mode of an append-only file under crashes —
 //! and lines with a non-finite number are **skipped and counted**,
@@ -58,11 +59,8 @@ pub struct HistoryRecord {
     /// Median allocated bytes per iteration, when measured.
     pub alloc_bytes_per_iter: Option<f64>,
     /// Total run wall time in seconds, when the run measured one
-    /// (experiment runs with a pulse attached).
+    /// (experiment `run` records).
     pub wall_s: Option<f64>,
-    /// Restarts the pulse watchdog flagged stalled at any point
-    /// during the run, when a pulse was attached.
-    pub stalls: Option<u64>,
     /// Worker-thread count the run was configured with (part of the
     /// series key).
     pub threads: u64,
@@ -89,9 +87,6 @@ impl HistoryRecord {
         }
         if let Some(wall) = self.wall_s {
             w.f64("wall_s", wall);
-        }
-        if let Some(stalls) = self.stalls {
-            w.u64("stalls", stalls);
         }
         w.u64("threads", self.threads);
         if let Some(cores) = self.available_parallelism {
@@ -124,7 +119,6 @@ impl HistoryRecord {
                 .get("alloc_bytes_per_iter")
                 .and_then(JsonValue::as_f64),
             wall_s: value.get("wall_s").and_then(JsonValue::as_f64),
-            stalls: value.get("stalls").and_then(JsonValue::as_u64),
             threads: value.get("threads").and_then(JsonValue::as_u64).unwrap_or(1),
             available_parallelism: value
                 .get("available_parallelism")
@@ -309,7 +303,7 @@ pub fn render_table(rows: &[TrendRow], window: usize) -> String {
     }
     let _ = writeln!(
         out,
-        "{:<5} {:<32} {:>3} {:>5} {:>14} {:>14} {:>9} {:>8} {:>6}  trend(vs last {})",
+        "{:<5} {:<32} {:>3} {:>5} {:>14} {:>14} {:>9} {:>8}  trend(vs last {})",
         "kind",
         "case",
         "thr",
@@ -318,7 +312,6 @@ pub fn render_table(rows: &[TrendRow], window: usize) -> String {
         "window ns",
         "delta",
         "wall s",
-        "stalls",
         window
     );
     for row in rows {
@@ -338,13 +331,9 @@ pub fn render_table(rows: &[TrendRow], window: usize) -> String {
             .latest
             .wall_s
             .map_or_else(|| "-".to_string(), |w| format!("{w:.1}"));
-        let stalls_text = row
-            .latest
-            .stalls
-            .map_or_else(|| "-".to_string(), |s| s.to_string());
         let _ = writeln!(
             out,
-            "{:<5} {:<32} {:>3} {:>5} {:>14.0} {:>14} {:>9} {:>8} {:>6}  {}",
+            "{:<5} {:<32} {:>3} {:>5} {:>14.0} {:>14} {:>9} {:>8}  {}",
             row.kind,
             row.case,
             row.latest.threads,
@@ -353,7 +342,6 @@ pub fn render_table(rows: &[TrendRow], window: usize) -> String {
             window_text,
             delta_text,
             wall_text,
-            stalls_text,
             verdict
         );
     }
@@ -377,10 +365,6 @@ pub fn render_json(rows: &[TrendRow], ledger: &Ledger, window: usize) -> String 
                 .f64("window_median_ns", row.window_median_ns.unwrap_or(f64::NAN))
                 .f64("delta_pct", row.delta_pct.unwrap_or(f64::NAN))
                 .f64("wall_s", row.latest.wall_s.unwrap_or(f64::NAN))
-                .f64(
-                    "stalls",
-                    row.latest.stalls.map_or(f64::NAN, |s| s as f64),
-                )
                 .str(
                     "status",
                     match row.status {
@@ -400,19 +384,6 @@ pub fn render_json(rows: &[TrendRow], ledger: &Ledger, window: usize) -> String 
     w.finish()
 }
 
-/// Serialises the most recent `limit` ledger records as a JSON array —
-/// the `/runs` endpoint body (newest first).
-pub fn runs_json(ledger: &Ledger, limit: usize) -> String {
-    let docs: Vec<String> = ledger
-        .records
-        .iter()
-        .rev()
-        .take(limit)
-        .map(|r| r.to_json_line())
-        .collect();
-    format!("[{}]\n", docs.join(","))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -427,7 +398,6 @@ mod tests {
             p95_ns: Some(median * 1.2),
             alloc_bytes_per_iter: Some(4096.0),
             wall_s: Some(2.5),
-            stalls: Some(0),
             threads: 4,
             available_parallelism: Some(2),
         }
@@ -451,7 +421,6 @@ mod tests {
             p95_ns: None,
             alloc_bytes_per_iter: None,
             wall_s: None,
-            stalls: None,
             threads: 1,
             available_parallelism: None,
         };
@@ -459,14 +428,13 @@ mod tests {
         assert!(!line.contains("p95_ns"), "{line}");
         assert!(!line.contains("alloc_bytes_per_iter"), "{line}");
         assert!(!line.contains("wall_s"), "{line}");
-        assert!(!line.contains("stalls"), "{line}");
         assert!(!line.contains("available_parallelism"), "{line}");
         assert_eq!(HistoryRecord::parse_line(&line).unwrap(), original);
     }
 
     #[test]
     fn records_written_before_wall_and_stall_fields_still_parse() {
-        // A verbatim pre-pulse ledger line: no wall_s, no stalls.
+        // A verbatim ledger line from before wall_s existed.
         let line = "{\"schema\":\"tsv3d-history/v1\",\"kind\":\"bench\",\
                     \"case\":\"anneal_quick_3x3\",\"git_rev\":\"c26e2ca\",\
                     \"unix_time_s\":1754400000,\"median_ns\":1200000,\
@@ -474,7 +442,6 @@ mod tests {
                     \"threads\":4}";
         let parsed = HistoryRecord::parse_line(line).expect("old records parse");
         assert_eq!(parsed.wall_s, None);
-        assert_eq!(parsed.stalls, None);
         assert_eq!(parsed.available_parallelism, None);
         assert_eq!(parsed.median_ns, 1.2e6);
         // And the trend table shows `-` for the unmeasured columns.
@@ -485,25 +452,49 @@ mod tests {
         let table = render_table(&analyze(&ledger, 5), 5);
         let row = table.lines().nth(1).expect("one data row");
         assert!(row.contains(" - "), "{table}");
+
+        // Rows written while the ledger still had a `stalls` field parse
+        // to the same records, and gate the same, as rows without it.
+        let ledger_text = |stalls: &str| -> String {
+            [1.0e6, 1.0e6, 1.0e6, 1.0e6, 1.0e6, 2.0e6]
+                .iter()
+                .enumerate()
+                .map(|(i, median)| {
+                    format!(
+                        "{{\"schema\":\"tsv3d-history/v1\",\"kind\":\"run\",\
+                         \"case\":\"fig3_gaussian\",\"git_rev\":\"r{i}\",\
+                         \"unix_time_s\":{i},\"median_ns\":{median},\
+                         \"wall_s\":2.5{stalls},\"threads\":1}}\n"
+                    )
+                })
+                .collect()
+        };
+        let old = parse_ledger(&ledger_text(",\"stalls\":3"));
+        let new = parse_ledger(&ledger_text(""));
+        assert_eq!((old.skipped, new.skipped), (0, 0));
+        assert_eq!(old.records, new.records);
+        let regressed = |ledger: &Ledger| {
+            crate::analytics::gate(ledger, 10.0)
+                .expect("positive medians")
+                .iter()
+                .filter(|v| v.regressed())
+                .count()
+        };
+        assert_eq!((regressed(&old), regressed(&new)), (1, 1));
     }
 
     #[test]
-    fn wall_and_stall_fields_round_trip_and_render() {
-        let original = record("pulse_case", 9, 1e6);
+    fn wall_field_round_trips_and_renders() {
+        let original = record("run_case", 9, 1e6);
         let line = original.to_json_line();
         assert!(line.contains("\"wall_s\":2.5"), "{line}");
-        assert!(line.contains("\"stalls\":0"), "{line}");
         assert_eq!(HistoryRecord::parse_line(&line).unwrap(), original);
         let mut ledger = Ledger::default();
         for t in 1..=3 {
-            let mut r = record("pulse_case", t, 1e6);
-            r.stalls = Some(2);
-            ledger.records.push(r);
+            ledger.records.push(record("run_case", t, 1e6));
         }
         let table = render_table(&analyze(&ledger, 5), 5);
         assert!(table.contains("2.5"), "{table}");
-        let row = table.lines().nth(1).expect("one data row");
-        assert!(row.contains(" 2  "), "stall count rendered:\n{table}");
     }
 
     #[test]
@@ -695,25 +686,10 @@ mod tests {
     }
 
     #[test]
-    fn runs_json_is_newest_first_and_bounded() {
-        let mut ledger = Ledger::default();
-        for t in 1..=5 {
-            ledger.records.push(record("a", t, t as f64));
-        }
-        let body = runs_json(&ledger, 3);
-        let doc = json::parse(body.trim()).unwrap();
-        let rows = doc.as_array().unwrap();
-        assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0].get("unix_time_s").and_then(JsonValue::as_u64), Some(5));
-        assert_eq!(rows[2].get("unix_time_s").and_then(JsonValue::as_u64), Some(3));
-    }
-
-    #[test]
     fn empty_ledger_renders_cleanly() {
         let ledger = Ledger::default();
         let rows = analyze(&ledger, 5);
         assert!(rows.is_empty());
         assert!(render_table(&rows, 5).contains("no records"));
-        assert_eq!(runs_json(&ledger, 10), "[]\n");
     }
 }

@@ -44,10 +44,8 @@
 //!   one self-contained, byte-deterministic HTML page (and a
 //!   `tsv3d-dash/v1` JSON index) fusing bench artifacts, ledger
 //!   trends + changepoint verdicts, the flamegraph, the convergence
-//!   plot, the attribution heatmap and, with `--live`, a running
-//!   `tsv3d serve`'s `/metrics` and per-restart `/progress` table
-//!   (ETA and stall verdicts, which drive the exit code); also served
-//!   live from `tsv3d serve` at `/dash`.
+//!   plot, the attribution heatmap and the committed experiment
+//!   artifacts.
 //! * [`svg`] — the shared deterministic-SVG primitives (document
 //!   skeleton, escaping, FNV-1a color keying) behind all three
 //!   renderers.

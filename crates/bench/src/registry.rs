@@ -27,9 +27,7 @@ use tsv3d_stats::{BitStream, SwitchingStats};
 use tsv3d_telemetry::TelemetryHandle;
 
 /// The measured body of one case, produced fresh by its setup.
-/// `Send` so a host (e.g. `tsv3d serve --demo`) may drive a body from
-/// a background thread.
-pub type BenchBody = Box<dyn FnMut(&TelemetryHandle) + Send>;
+pub type BenchBody = Box<dyn FnMut(&TelemetryHandle)>;
 
 /// Run-wide knobs the CLI threads through to every case setup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,7 +89,7 @@ pub fn cases() -> Vec<BenchCase> {
         BenchCase {
             name: "anneal_par_equiv_4x4",
             area: "core",
-            about: "engine contract pin: serial, parallel and pulse-observed anneal must return bit-identical results",
+            about: "engine contract pin: serial and parallel anneal must return bit-identical results",
             setup: |cfg| {
                 let problem = GAUSS_4X4.build_problem().expect("bench problem builds");
                 let threads = cfg.threads;
@@ -114,30 +112,7 @@ pub fn cases() -> Vec<BenchCase> {
                         p.power.to_bits(),
                         "parallel anneal power not bit-identical at threads={threads}"
                     );
-                    // Same contract with live progress cells attached:
-                    // the pulse observes, never perturbs.
-                    let pulse = std::sync::Arc::new(tsv3d_telemetry::pulse::Pulse::new());
-                    let observed = tel.with_pulse(std::sync::Arc::clone(&pulse));
-                    let o = optimize::anneal_with_telemetry(&problem, &parallel, &observed)
-                        .expect("anneal budget is non-empty");
-                    assert_eq!(
-                        s.assignment, o.assignment,
-                        "pulse-observed anneal diverged at threads={threads}"
-                    );
-                    assert_eq!(
-                        s.power.to_bits(),
-                        o.power.to_bits(),
-                        "pulse-observed anneal power not bit-identical at threads={threads}"
-                    );
-                    // A disabled handle drops the attach (with_pulse is
-                    // a no-op), so only assert closure when it took.
-                    if observed.pulse().is_some() {
-                        assert!(
-                            pulse.progress_snapshot().all_done(),
-                            "every restart closed its progress cell"
-                        );
-                    }
-                    black_box(o.power);
+                    black_box(p.power);
                 })
             },
         },

@@ -312,7 +312,6 @@ mod tests {
             p95_ns: summary.p95_ns,
             alloc_bytes_per_iter: summary.mem_bytes,
             wall_s: None,
-            stalls: None,
             threads: report.threads,
             available_parallelism: report.available_parallelism,
         };

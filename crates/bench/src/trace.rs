@@ -125,8 +125,6 @@ pub struct CollapsedPath {
     pub path: String,
     /// Self seconds accumulated on this exact path.
     pub self_s: f64,
-    /// Instances that landed on this exact path.
-    pub count: u64,
     /// Self-allocated bytes accumulated on this exact path.
     pub self_bytes: u64,
 }
@@ -257,7 +255,6 @@ pub fn analyze(trace: &ParsedTrace) -> TraceSummary {
     }
     struct PathAcc {
         self_s: f64,
-        count: u64,
         self_bytes: u64,
     }
     let mut by_name: BTreeMap<String, Acc> = BTreeMap::new();
@@ -292,11 +289,9 @@ pub fn analyze(trace: &ParsedTrace) -> TraceSummary {
         acc.bytes_hist.record(span.alloc_bytes as f64);
         let slot = by_path.entry(paths[idx].clone()).or_insert(PathAcc {
             self_s: 0.0,
-            count: 0,
             self_bytes: 0,
         });
         slot.self_s += self_s;
-        slot.count += 1;
         slot.self_bytes += self_bytes;
     }
 
@@ -331,7 +326,6 @@ pub fn analyze(trace: &ParsedTrace) -> TraceSummary {
             .map(|(path, acc)| CollapsedPath {
                 path,
                 self_s: acc.self_s,
-                count: acc.count,
                 self_bytes: acc.self_bytes,
             })
             .collect(),
@@ -537,8 +531,8 @@ mod tests {
                 "{{\"t\":{end},\"event\":\"span\",\"name\":\"work\",\"seconds\":0.1}}\n"
             ));
         }
-        // The same spans with pulse-emitted names (and an unknown
-        // future one) interleaved between every line.
+        // The same spans with foreign event names (`pulse.*`, as older
+        // traces carry them) interleaved between every line.
         let mut mixed = String::new();
         for line in clean.lines() {
             mixed.push_str(

@@ -15,10 +15,17 @@ const TOKENS: [&str; 26] = [
     "00e9", "dF", "-", "0", "12", ".5", "e", "E+", "e-7", "true", "null", "é",
 ];
 
-/// Committed documents the corruption properties start from.
+/// Documents the corruption properties start from: two committed
+/// files and an array of objects with floats, a null and booleans.
 const DOCUMENTS: [&str; 3] = [
     include_str!("../../../results/bench/BENCH_anneal_quick_3x3.json"),
-    include_str!("../../../tests/data/pulse_live.json"),
+    concat!(
+        r#"{"tick":8,"stall_after":40,"uptime_s":10.0,"restarts":["#,
+        r#"{"restart":0,"iters_done":250,"iters_planned":1000,"best_power":0.5,"#,
+        r#""accepts":17,"heartbeat_tick":8,"state":"running","stalled":false},"#,
+        r#"{"restart":1,"iters_done":1000,"iters_planned":1000,"best_power":null,"#,
+        r#""accepts":40,"heartbeat_tick":8,"state":"done","stalled":true}]}"#,
+    ),
     include_str!("../../../tests/data/explain_assignment.json"),
 ];
 

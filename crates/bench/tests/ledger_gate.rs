@@ -16,7 +16,6 @@ fn record(case: &str, t: u64, rev: &str, median: f64, alloc: Option<f64>) -> His
         p95_ns: None,
         alloc_bytes_per_iter: alloc,
         wall_s: None,
-        stalls: None,
         threads: 4,
         available_parallelism: None,
     }

@@ -16,7 +16,6 @@ fn valid_line(median_ns: f64, threads: u64) -> String {
         p95_ns: Some(median_ns * 1.25),
         alloc_bytes_per_iter: Some(4096.0),
         wall_s: Some(2.5),
-        stalls: Some(0),
         threads,
         available_parallelism: Some(2),
     }

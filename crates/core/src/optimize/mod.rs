@@ -422,8 +422,7 @@ struct Walk<'t> {
     /// Cools by `(t_end / t_start)^(1/iterations)`, else by
     /// `1e-5^(1/iterations)` (equal in exact arithmetic, not in floats).
     calibrated_cooling: bool,
-    /// The `core.anneal` span, `anneal.*` events and counters, and
-    /// pulse cells.
+    /// The `core.anneal` span and the `anneal.*` events and counters.
     tel: &'t TelemetryHandle,
 }
 
@@ -503,13 +502,6 @@ fn walk<P: Pricing>(
         } else {
             TelemetryHandle::disabled()
         };
-        // Live progress cell (tsv3d-pulse), written per epoch only when
-        // a pulse is attached; it never feeds back into the walk.
-        let cell = tel.pulse().map(|pulse| pulse.cell(restart));
-        if let Some(cell) = &cell {
-            cell.begin(options.iterations as u64);
-        }
-        let mut total_accepts = 0u64;
         let mut rng = StdRng::seed_from_u64(stream_seed(seed, restart as u64 + 1));
         draw_feasible(problem, &mut rng, scratch, w.signed);
         if P::OCCUPANTS {
@@ -574,15 +566,8 @@ fn walk<P: Pricing>(
                 rtel.add("anneal.accepts", ep_accepts);
                 rtel.add("anneal.swap_moves", ep_swaps);
                 rtel.add("anneal.flip_moves", ep_flips);
-                if let Some(cell) = &cell {
-                    total_accepts += ep_accepts;
-                    cell.beat(it as u64 + 1, sign * best_value, total_accepts);
-                }
                 (ep_swaps, ep_flips, ep_accepts) = (0, 0, 0);
             }
-        }
-        if let Some(cell) = &cell {
-            cell.finish();
         }
         rtel.add("anneal.restarts", 1);
         // Exact value per restart: the tracked value carries

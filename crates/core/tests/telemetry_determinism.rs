@@ -87,78 +87,6 @@ proptest! {
     }
 }
 
-/// A live `/metrics` scraper must not perturb the workload it
-/// observes: export reads immutable snapshots of the registry, so an
-/// anneal that is being scraped concurrently returns a bit-identical
-/// result to an unobserved one.
-#[test]
-fn anneal_result_is_identical_while_metrics_are_scraped() {
-    use std::io::{Read, Write};
-    use std::net::TcpStream;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-    use tsv3d_telemetry::export::MetricsServer;
-
-    let p = problem(3, 3, 77, 0.3);
-    let opts = AnnealOptions {
-        iterations: 4_000,
-        restarts: 3,
-        seed: 20_260_806,
-        threads: 1,
-    };
-
-    // Reference run: no telemetry, no server.
-    let plain = anneal(&p, &opts).unwrap();
-
-    // Observed run: live registry with an HTTP exporter attached, and
-    // scraper threads hammering /metrics for the whole duration.
-    let tel = TelemetryHandle::with_sink(Box::new(NullSink));
-    let server = MetricsServer::start("127.0.0.1:0", &tel, None).expect("bind on a free port");
-    let addr = server.local_addr();
-    let stop = Arc::new(AtomicBool::new(false));
-    let ok_total = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-    let scrapers: Vec<_> = (0..3)
-        .map(|_| {
-            let stop = Arc::clone(&stop);
-            let ok_total = Arc::clone(&ok_total);
-            std::thread::spawn(move || {
-                let mut ok = 0usize;
-                while !stop.load(Ordering::Relaxed) {
-                    let Ok(mut conn) = TcpStream::connect(addr) else {
-                        continue;
-                    };
-                    conn.write_all(b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n")
-                        .expect("write request");
-                    let mut body = String::new();
-                    conn.read_to_string(&mut body).expect("read response");
-                    assert!(body.starts_with("HTTP/1.1 200 OK"));
-                    ok += 1;
-                    ok_total.fetch_add(1, Ordering::Relaxed);
-                }
-                ok
-            })
-        })
-        .collect();
-
-    // The incrementally-priced anneal can outrun the first TCP round
-    // trip; wait for a successful scrape so the run is truly observed.
-    while ok_total.load(Ordering::Relaxed) == 0 {
-        std::thread::yield_now();
-    }
-    let observed = anneal_with_telemetry(&p, &opts, &tel).unwrap();
-
-    stop.store(true, Ordering::Relaxed);
-    let scrapes: usize = scrapers.into_iter().map(|h| h.join().unwrap()).sum();
-    server.shutdown();
-
-    assert!(scrapes > 0, "the exporter answered during the anneal");
-    assert_eq!(plain.assignment, observed.assignment);
-    assert!(
-        plain.power.to_bits() == observed.power.to_bits(),
-        "scraping must not perturb a single RNG draw"
-    );
-}
-
 #[test]
 fn instrumented_anneal_actually_reports() {
     let p = problem(2, 3, 42, 0.4);

@@ -110,11 +110,6 @@ impl Histogram {
         self.max
     }
 
-    /// Samples recorded as exactly zero.
-    pub fn zero_count(&self) -> u64 {
-        self.zero
-    }
-
     /// Rejected negative samples.
     pub fn negative_count(&self) -> u64 {
         self.negative
@@ -190,12 +185,6 @@ impl Histogram {
         // back to the observed maximum rather than panicking.
         Some(self.max)
     }
-
-    /// Iterates the populated `(bucket, count)` pairs in ascending
-    /// bucket order.
-    pub fn buckets(&self) -> impl Iterator<Item = (i16, u64)> + '_ {
-        self.buckets.iter().map(|(&b, &c)| (b, c))
-    }
 }
 
 #[cfg(test)]
@@ -221,10 +210,10 @@ mod tests {
         let mut h = Histogram::new();
         h.record(0.0);
         h.record(-0.0);
-        assert_eq!(h.zero_count(), 2);
+        assert_eq!(h.zero, 2);
         assert_eq!(h.count(), 2);
         assert_eq!(h.min(), 0.0);
-        assert_eq!(h.buckets().count(), 0, "no log bucket for zero");
+        assert!(h.buckets.is_empty(), "no log bucket for zero");
     }
 
     #[test]

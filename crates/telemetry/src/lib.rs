@@ -20,10 +20,7 @@
 //!   [`StderrSink`] (human-readable) and [`JsonLinesSink`]
 //!   (machine-readable `.jsonl`);
 //! * [`TelemetryHandle::from_env`] — the `TSV3D_TELEMETRY=json|stderr|off`
-//!   switch every reproduction binary uses;
-//! * the [`pulse`] module — *live-run* observability: lock-free
-//!   per-restart progress cells, a span-stack sampling profiler and a
-//!   stall watchdog, attached with [`TelemetryHandle::with_pulse`].
+//!   switch every reproduction binary uses.
 //!
 //! **Determinism contract:** telemetry only *observes*. No RNG draw,
 //! no floating-point value and no control-flow decision in the
@@ -58,9 +55,7 @@
 #![warn(missing_docs)]
 
 pub mod alloc;
-pub mod export;
 mod histogram;
-pub mod pulse;
 mod sink;
 
 pub use histogram::Histogram;
@@ -159,15 +154,6 @@ pub struct TelemetryHandle {
     /// Worker label stamped on emitted events; `None` on unlabelled
     /// handles (the common case — serial code never pays for it).
     thread: Option<Arc<str>>,
-    /// The live-run observability hub ([`pulse::Pulse`]) this handle
-    /// publishes into, when one was attached with
-    /// [`with_pulse`](Self::with_pulse). `None` (the default)
-    /// compiles every pulse touch point down to a branch on an
-    /// `Option` — the pre-pulse code path.
-    pulse: Option<Arc<pulse::Pulse>>,
-    /// This handle's span stack in the pulse's sampler registry;
-    /// present exactly when `pulse` is.
-    stack: Option<Arc<pulse::ThreadStack>>,
 }
 
 impl std::fmt::Debug for TelemetryHandle {
@@ -190,8 +176,6 @@ impl TelemetryHandle {
         Self {
             inner: None,
             thread: None,
-            pulse: None,
-            stack: None,
         }
     }
 
@@ -206,8 +190,6 @@ impl TelemetryHandle {
                 gauges: Mutex::new(BTreeMap::new()),
             })),
             thread: None,
-            pulse: None,
-            stack: None,
         }
     }
 
@@ -218,50 +200,12 @@ impl TelemetryHandle {
     ///
     /// Counters and histograms stay shared (same registry); a disabled
     /// handle stays disabled, so labelling costs nothing on
-    /// uninstrumented runs. With a pulse attached, the labelled handle
-    /// additionally registers `label`'s span stack with the sampler.
+    /// uninstrumented runs.
     pub fn with_thread_label(&self, label: &str) -> TelemetryHandle {
         TelemetryHandle {
             inner: self.inner.clone(),
             thread: self.inner.is_some().then(|| Arc::from(label)),
-            pulse: self.pulse.clone(),
-            stack: self
-                .pulse
-                .as_ref()
-                .filter(|_| self.inner.is_some())
-                .map(|pulse| pulse.stack(label)),
         }
-    }
-
-    /// Attaches a live-run observability hub ([`pulse::Pulse`]): the
-    /// handle (and every labelled handle derived from it) publishes
-    /// span stacks into the pulse's sampler registry, and optimizers
-    /// that find a pulse on their handle publish per-restart progress
-    /// cells. A disabled handle stays disabled and ignores the pulse.
-    ///
-    /// Pulse rides the same determinism contract as sinks: attaching
-    /// one must not change a single instrumented result.
-    #[must_use]
-    pub fn with_pulse(&self, pulse: Arc<pulse::Pulse>) -> TelemetryHandle {
-        if self.inner.is_none() {
-            return self.clone();
-        }
-        let stack = match self.thread.as_deref() {
-            Some(label) => pulse.stack(label),
-            None => pulse.stack("main"),
-        };
-        TelemetryHandle {
-            inner: self.inner.clone(),
-            thread: self.thread.clone(),
-            pulse: Some(pulse),
-            stack: Some(stack),
-        }
-    }
-
-    /// The attached pulse, if any — how the optimizers and the metrics
-    /// exporter find the progress registry.
-    pub fn pulse(&self) -> Option<&Arc<pulse::Pulse>> {
-        self.pulse.as_ref()
     }
 
     /// The worker label this handle stamps on events, if any.
@@ -341,8 +285,7 @@ impl TelemetryHandle {
     ///
     /// Gauges are last-write-wins point-in-time values (a power figure,
     /// a queue depth) — unlike [`add`](Self::add) counters they do not
-    /// accumulate. Non-finite values are stored as-is; the exporter
-    /// renders them as `NaN`/`±Inf` per the exposition format.
+    /// accumulate. Non-finite values are stored as-is.
     pub fn set_gauge(&self, name: &str, value: f64) {
         if let Some(inner) = &self.inner {
             let mut gauges = inner.gauges.lock().expect("gauge registry poisoned");
@@ -397,15 +340,11 @@ impl TelemetryHandle {
     /// like wall time — trace analysis subtracts children to recover
     /// self-attribution.
     pub fn span(&self, name: &'static str) -> Span {
-        if let Some(stack) = &self.stack {
-            stack.push(name);
-        }
         Span {
             inner: self.inner.as_ref().map(|inner| SpanInner {
                 registry: Arc::clone(inner),
                 name,
                 thread: self.thread.clone(),
-                stack: self.stack.clone(),
                 alloc: alloc::active_mark(),
                 start: Instant::now(),
             }),
@@ -458,37 +397,6 @@ impl TelemetryHandle {
                 .counters
                 .lock()
                 .expect("counter registry poisoned")
-                .clone(),
-            None => BTreeMap::new(),
-        }
-    }
-
-    /// A point-in-time copy of every histogram, in name order. Empty
-    /// for a disabled handle.
-    ///
-    /// Together with [`Histogram::buckets`] and
-    /// [`Histogram::percentile`] this makes the full aggregation state
-    /// reachable from other crates instead of being summarisable only
-    /// through [`summary`](Self::summary).
-    pub fn histograms_snapshot(&self) -> BTreeMap<String, Histogram> {
-        match &self.inner {
-            Some(inner) => inner
-                .histograms
-                .lock()
-                .expect("histogram registry poisoned")
-                .clone(),
-            None => BTreeMap::new(),
-        }
-    }
-
-    /// A point-in-time copy of every gauge, in name order. Empty for
-    /// a disabled handle.
-    pub fn gauges_snapshot(&self) -> BTreeMap<String, f64> {
-        match &self.inner {
-            Some(inner) => inner
-                .gauges
-                .lock()
-                .expect("gauge registry poisoned")
                 .clone(),
             None => BTreeMap::new(),
         }
@@ -562,9 +470,6 @@ struct SpanInner {
     registry: Arc<Inner>,
     name: &'static str,
     thread: Option<Arc<str>>,
-    /// The pulse span stack this span pushed onto at open (popped on
-    /// drop); `None` without an attached pulse.
-    stack: Option<Arc<pulse::ThreadStack>>,
     /// Allocation baseline captured at open; `None` when counting was
     /// inactive, so binaries without the allocator never emit zeros.
     alloc: Option<alloc::AllocMark>,
@@ -584,12 +489,6 @@ impl Drop for Span {
     fn drop(&mut self) {
         if let Some(span) = self.inner.take() {
             let seconds = span.start.elapsed().as_secs_f64();
-            // Leave the sampler's stack before any bookkeeping below:
-            // a sample taken during histogram/emit work would otherwise
-            // attribute it to a span that has already ended.
-            if let Some(stack) = &span.stack {
-                stack.pop(span.name);
-            }
             // Read the allocation deltas before any bookkeeping below
             // allocates (histogram inserts, the fields vector): the
             // measurement must cover only the span's own scope, which
@@ -644,7 +543,6 @@ mod tests {
         assert_eq!(tel.counter_value("c"), None);
         assert_eq!(tel.gauge_value("g"), None);
         assert!(tel.histogram("h").is_none());
-        assert!(tel.gauges_snapshot().is_empty());
         assert_eq!(tel.summary(), "");
     }
 
@@ -655,14 +553,7 @@ mod tests {
         tel.set_gauge("power.total", 0.75);
         tel.set_gauge("power.self_charge", 0.25);
         assert_eq!(tel.gauge_value("power.total"), Some(0.75));
-        let snapshot = tel.gauges_snapshot();
-        assert_eq!(
-            snapshot.into_iter().collect::<Vec<_>>(),
-            vec![
-                ("power.self_charge".to_string(), 0.25),
-                ("power.total".to_string(), 0.75),
-            ]
-        );
+        assert_eq!(tel.gauge_value("power.self_charge"), Some(0.25));
         let summary = tel.summary();
         assert!(summary.contains("gauges:"), "{summary}");
         assert!(summary.contains("power.total"), "{summary}");
@@ -701,15 +592,11 @@ mod tests {
         let tel = TelemetryHandle::with_sink(Box::new(NullSink));
         tel.add("a", 1);
         tel.add("b", 2);
-        tel.record("h", 4.0);
         let counters = tel.counters_snapshot();
         assert_eq!(
             counters.into_iter().collect::<Vec<_>>(),
             vec![("a".to_string(), 1), ("b".to_string(), 2)]
         );
-        let histograms = tel.histograms_snapshot();
-        assert_eq!(histograms.len(), 1);
-        assert_eq!(histograms["h"].count(), 1);
         // The snapshot is a copy: later mutation must not show up.
         tel.add("a", 10);
         let counters = tel.counters_snapshot();
@@ -721,7 +608,6 @@ mod tests {
         let tel = TelemetryHandle::disabled();
         tel.add("a", 1);
         assert!(tel.counters_snapshot().is_empty());
-        assert!(tel.histograms_snapshot().is_empty());
     }
 
     #[test]
@@ -776,44 +662,6 @@ mod tests {
         assert_eq!(events[1].2.as_deref(), Some("r1"));
         assert_eq!(events[2].0, "span");
         assert_eq!(events[2].2.as_deref(), Some("r1"));
-    }
-
-    #[test]
-    fn pulse_handles_publish_span_stacks() {
-        let pulse = Arc::new(pulse::Pulse::with_ticks(Arc::new(
-            pulse::ManualTicks::new(),
-        )));
-        let tel =
-            TelemetryHandle::with_sink(Box::new(NullSink)).with_pulse(Arc::clone(&pulse));
-        assert!(tel.pulse().is_some());
-        let worker = tel.with_thread_label("r0");
-        assert!(worker.pulse().is_some(), "labels inherit the pulse");
-
-        let outer = tel.span("outer");
-        let inner = worker.span("inner");
-        let mut profile = pulse::SampledProfile::default();
-        pulse.sample_once(&mut profile);
-        drop(inner);
-        drop(outer);
-        pulse.sample_once(&mut profile);
-
-        assert_eq!(profile.counts["main;outer"], 1);
-        assert_eq!(profile.counts["r0;inner"], 1);
-        assert_eq!(profile.samples, 2);
-        // Closed spans left their stacks: the second sample saw nothing.
-        assert_eq!(profile.counts.values().sum::<u64>(), 2);
-    }
-
-    #[test]
-    fn pulse_on_a_disabled_handle_is_ignored() {
-        let pulse = Arc::new(pulse::Pulse::new());
-        let tel = TelemetryHandle::disabled().with_pulse(Arc::clone(&pulse));
-        assert!(!tel.is_enabled());
-        assert!(tel.pulse().is_none());
-        drop(tel.span("work"));
-        let mut profile = pulse::SampledProfile::default();
-        pulse.sample_once(&mut profile);
-        assert!(profile.counts.is_empty());
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! End-to-end tests of the `tsv3d` multiplexer binary: command
-//! dispatch, the usage/exit-code contract of all twelve commands, the
+//! dispatch, the usage/exit-code contract of all eleven commands, the
 //! assignment-flow commands' stdout, and the `bench`/`trace` surfaces.
 //!
 //! Exit-code contract: 0 success, 1 runtime failure or gated
@@ -38,8 +38,8 @@ fn scratch(tag: &str) -> PathBuf {
 
 #[test]
 fn unknown_subcommand_prints_usage_and_exits_2() {
-    // Live progress is `dash --live`; there is no `watch` command.
-    for unknown in ["frobnicate", "watch"] {
+    // Retired commands are unknown commands like any other.
+    for unknown in ["frobnicate", "watch", "serve"] {
         let out = tsv3d(&[unknown]);
         assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr(&out));
         let err = stderr(&out);
@@ -80,9 +80,9 @@ fn help_prints_usage_on_stdout_and_exits_0() {
 
 /// Every command, each with its own usage text: the assignment flow,
 /// then the observability subcommands.
-const SUBCOMMANDS: [&str; 12] = [
+const SUBCOMMANDS: [&str; 11] = [
     "assign", "eval", "extract", "spice", "noise", "bench", "trace", "converge", "explain",
-    "history", "serve", "dash",
+    "history", "dash",
 ];
 
 #[test]
@@ -102,6 +102,7 @@ fn out_of_range_values_and_foreign_flags_are_usage_errors() {
         &["noise", "--probs", "all:1.5"],
         &["eval"],
         &["eval", "--assignment", "0,1,2"],
+        &["dash", "--live", "127.0.0.1:1"],
     ] {
         let out = tsv3d(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
@@ -113,15 +114,26 @@ fn out_of_range_values_and_foreign_flags_are_usage_errors() {
 #[test]
 fn the_one_grammar_takes_every_paper_stream_and_method() {
     // Fig. 3 sweeps negative correlations; every command that builds a
-    // problem takes them, and `explain` takes `bnb` like `assign`.
-    for args in [
-        &["explain", "--stream", "gauss:16000,-0.6"][..],
-        &["explain", "--rows", "2", "--cols", "2", "--cycles", "200", "--method", "bnb"],
-        &["assign", "--rows", "2", "--cols", "2", "--cycles", "200", "--method", "identity"],
-        &["assign", "--rows", "2", "--cols", "2", "--geometry", "fig2", "--cycles", "200"],
+    // problem takes them, and `explain` takes `bnb` like `assign` and
+    // names its proof status.
+    for (args, shows) in [
+        (&["explain", "--stream", "gauss:16000,-0.6"][..], ""),
+        (
+            &["explain", "--rows", "2", "--cols", "2", "--cycles", "200", "--method", "bnb"],
+            "assignment (bnb, proven optimal): ",
+        ),
+        (
+            &["assign", "--rows", "2", "--cols", "2", "--cycles", "200", "--method", "identity"],
+            "",
+        ),
+        (
+            &["assign", "--rows", "2", "--cols", "2", "--geometry", "fig2", "--cycles", "200"],
+            "",
+        ),
     ] {
         let out = tsv3d(args);
         assert_eq!(out.status.code(), Some(0), "{args:?}: {}", stderr(&out));
+        assert!(stdout(&out).contains(shows), "{args:?}: {}", stdout(&out));
     }
 }
 

@@ -168,10 +168,10 @@ fn svg_renders_byte_identically_across_runs() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A trace with the live pulse's own events mixed in (`pulse.sample`,
-/// `pulse.progress`) and the run's start and end: both restart series
-/// are read to their final iteration and the rest is counted as
-/// ignored.
+/// A trace with foreign events mixed in (`pulse.sample` and
+/// `pulse.progress`, as older traces carry them) and the run's start
+/// and end: both restart series are read to their final iteration and
+/// the rest is counted as ignored.
 #[test]
 fn pulse_trace_yields_both_restart_series() {
     let trace = fixture("pulse_trace_mixed.jsonl");

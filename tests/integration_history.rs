@@ -1,7 +1,7 @@
 //! End-to-end tests of `tsv3d history` against the committed fixture
 //! ledgers in `tests/data/`: trend tables, the `--detect` changepoint
 //! mode with its `--gate-detect` exit contract (0 pass / 1 regressed /
-//! 2 usage), pre-pulse ledger back-compat, and the skip-and-count
+//! 2 usage), old-ledger back-compat, and the skip-and-count
 //! robustness policy for malformed ledger lines.
 
 use std::path::PathBuf;
@@ -150,19 +150,19 @@ fn json_format_emits_a_machine_readable_report() {
 
 #[test]
 fn prepulse_records_parse_trend_and_gate_without_skips() {
-    // The fixture ledger predates the pulse fields: no record carries
-    // wall_s or stalls. Every line must parse (no skip-and-count) and
+    // The fixture ledger predates the wall_s field: no record carries
+    // it. Every line must parse (no skip-and-count) and
     // participate fully in trends and gating.
     let out = tsv3d(&["history", &fixture("history_prepulse.jsonl")]);
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
     let text = stdout(&out);
-    // The table renders '-' for the absent pulse columns…
+    // The table renders '-' for the absent wall column…
     assert!(text.contains("10 record(s)"), "{text}");
     assert!(text.contains("codec_hamming_w16"), "{text}");
     assert!(text.contains(" ok"), "{text}");
 
     // …the steady case stays green, and the regression in equally
-    // pre-pulse records still trips the gate.
+    // old records still trips the gate.
     let out = tsv3d(&[
         "history",
         &fixture("history_prepulse.jsonl"),
@@ -172,14 +172,14 @@ fn prepulse_records_parse_trend_and_gate_without_skips() {
     let err = stderr(&out);
     assert!(
         !err.contains("skipped"),
-        "pre-pulse records must not be skipped:\n{err}"
+        "old records must not be skipped:\n{err}"
     );
     let text = stdout(&out);
     assert!(text.contains("steady"), "{text}");
     assert!(text.contains("REGRESSED"), "{text}");
     assert!(err.contains("anneal_inc_delta_6x6"), "{err}");
 
-    // Filtered to the steady case, the same pre-pulse ledger gates 0.
+    // Filtered to the steady case, the same old ledger gates 0.
     let out = tsv3d(&[
         "history",
         &fixture("history_prepulse.jsonl"),
