@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# End-to-end smoke run of the paper's 14 result tables, every `tsv3d`
+# End-to-end smoke run of the paper's 14 result tables (each of whose
+# binaries must also reject an unknown flag with exit 2), every `tsv3d`
 # observability subcommand, the telemetry pipeline and the benchmark
 # package, as CI's smoke job runs it. Every check blocks unless it is
 # marked warn-only; a warn-only check prints a warning and the run goes
@@ -42,7 +43,8 @@ echo "writing to $OUT"
 
 # The tables EXPERIMENTS.md's regenerate loop writes. Their committed
 # copies under results/ must regenerate byte for byte up to a telemetry
-# footer; `(N rows; +X s wall)` lines appear only in traced runs.
+# footer; `(N rows; +X s wall)` lines appear only in traced runs. Each
+# binary must also reject an unknown flag with exit 2.
 ARTIFACTS=(tab_capmodel tab_overhead fig2_sequential fig3_gaussian fig4_image_sensor
   fig5_mems fig6_circuit tab_businvert tab_crosstalk tab_geometry tab_variation
   tab_pareto tab_phases tab_redundancy)
@@ -58,6 +60,7 @@ for b in "${ARTIFACTS[@]}"; do
   body "results/$b.txt" > "$OUT/artifacts/$b.want"
   cmp "$OUT/artifacts/$b.want" "$OUT/artifacts/$b.got" ||
     fail "$b no longer regenerates results/$b.txt"
+  expect 2 "$ROOT/target/release/$b" --frobnicate
 done
 echo "all ${#ARTIFACTS[@]} tables match their committed copies"
 

@@ -4,11 +4,13 @@
 //!
 //! Each command is one [`Subcommand`] entry of a static table: its
 //! summary, usage text, flag table, positional count and `run`
-//! function. The binary in `tsv3d-experiments` hands [`dispatch`] a
-//! second table beside [`SUBCOMMANDS`], with the assignment-flow
-//! commands. The one argument loop, [`Args::parse`], owns `--help`/`-h`,
-//! unknown options and missing values; [`Args::spec`] parses the one
-//! problem grammar. Everything returns an exit code instead of calling
+//! function. The `tsv3d` binary in `tsv3d-experiments` hands
+//! [`dispatch`] a second table beside [`SUBCOMMANDS`], with the
+//! assignment-flow commands; each of that package's 14 table binaries
+//! hands [`main`] its one command. The one argument loop,
+//! [`Args::parse`], owns `--help`/`-h`, unknown options and missing
+//! values; [`Args::spec`] parses the one problem grammar. Everything
+//! but [`main`] returns an exit code instead of calling
 //! `std::process::exit` so the logic stays testable in-process.
 //!
 //! Exit codes: `0` success, `1` failure (I/O, a gated regression),
@@ -400,6 +402,13 @@ fn usage<'a>(commands: impl Iterator<Item = &'a Subcommand>) -> String {
            `tsv3d bench --list` lists the benchmark cases.\n"
 }
 
+/// Runs the one command of a single-command binary on the process
+/// arguments and exits with its code.
+pub fn main(cmd: &Subcommand) -> ! {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    std::process::exit(execute(cmd, &args))
+}
+
 /// Runs `cmd` on `tail` and maps the outcome to its exit code.
 fn execute(cmd: &Subcommand, tail: &[String]) -> i32 {
     let outcome = Args::parse(cmd, tail).and_then(|parsed| match parsed {
@@ -477,7 +486,7 @@ impl Args {
     }
 
     /// Whether the switch `flag` was given.
-    fn switch(&self, flag: &str) -> bool {
+    pub fn switch(&self, flag: &str) -> bool {
         self.values(flag).is_some()
     }
 

@@ -1,15 +1,28 @@
 //! Regenerates the paper's Fig. 2: power reduction of the optimal and
 //! Spiral assignments for sequential streams vs. branch probability.
-//!
-//! Usage: `cargo run --release -p tsv3d-experiments --bin fig2_sequential [--quick]`
 
+use tsv3d_bench::cli::{self, Args, Arity::Switch, Fail, Subcommand};
 use tsv3d_experiments::fig2::{self, Fig2Array};
 use tsv3d_experiments::obs;
 use tsv3d_experiments::table::{self, TextTable};
 
+const USAGE: &str = "\
+Usage: fig2_sequential [--quick] [--csv]
+
+  --quick    8 000 cycles instead of 30 000, short anneal
+  --csv      also write results/fig2_4x4.csv and results/fig2_5x5.csv
+";
+
 fn main() {
+    cli::main(&Subcommand {
+        name: "fig2_sequential", about: "Fig. 2: sequential streams", usage: USAGE,
+        flags: &[("--quick", Switch), ("--csv", Switch)], positionals: 0, run,
+    })
+}
+
+fn run(args: &Args) -> Result<i32, Fail> {
     let tel = obs::for_binary("fig2_sequential");
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = args.switch("--quick");
     let cycles = if quick { 8_000 } else { 30_000 };
     println!("Fig. 2 — sequential data streams ({} cycles, reference: worst-case random assignment)\n", cycles);
     for array in Fig2Array::all() {
@@ -43,8 +56,8 @@ fn main() {
         }
         println!("{}", table.render_timed(&tel));
         let csv_name = format!("fig2_{}", array.label().split_whitespace().next().unwrap_or("array"));
-        if let Ok(Some(path)) = table::write_csv_if_requested(&table, &csv_name) {
-            println!("(csv written to {})", path.display());
+        if args.switch("--csv") {
+            println!("(csv written to {})", table::write_csv(&table, &csv_name)?.display());
         }
     }
     println!("Paper shape: optimal ≈ Spiral across the sweep; the reduction shrinks as the");
@@ -52,4 +65,5 @@ fn main() {
     println!("The self/adj/diag/dist columns attribute the optimal assignment's power to");
     println!("the fixed self terms and the neighbor-class coupling pairs (`tsv3d explain`).");
     obs::finish(&tel);
+    Ok(0)
 }

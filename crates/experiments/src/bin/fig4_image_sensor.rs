@@ -1,27 +1,29 @@
 //! Regenerates the paper's Fig. 4: power reduction for image-sensor
 //! (3D vision-SoC) streams, with stable lines and geometry variants.
-//!
-//! Usage: `cargo run --release -p tsv3d-experiments --bin fig4_image_sensor [--quick] [--threads N]`
-//!
-//! `--threads 0` (the default) uses one worker per CPU; any thread
-//! count produces bit-identical tables.
 
+use tsv3d_bench::cli::{self, Args, Arity::Switch, Fail, Subcommand};
 use tsv3d_experiments::fig4;
 use tsv3d_experiments::obs;
-use tsv3d_experiments::par;
 use tsv3d_experiments::table::{self, TextTable};
 use tsv3d_stats::gen::ImageSensor;
 
+const USAGE: &str = "\
+Usage: fig4_image_sensor [--quick] [--csv]
+
+  --quick    48x32 px frames instead of 96x64, short anneal
+  --csv      also write results/fig4_image_sensor.csv
+";
+
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let threads = par::threads_from_args();
-    let tel = obs::for_binary_with(
-        "fig4_image_sensor",
-        obs::RunMeta {
-            threads: Some(par::resolve_threads(threads)),
-            ..Default::default()
-        },
-    );
+    cli::main(&Subcommand {
+        name: "fig4_image_sensor", about: "Fig. 4: image-sensor streams", usage: USAGE,
+        flags: &[("--quick", Switch), ("--csv", Switch)], positionals: 0, run,
+    })
+}
+
+fn run(args: &Args) -> Result<i32, Fail> {
+    let quick = args.switch("--quick");
+    let tel = obs::for_binary("fig4_image_sensor");
     let sensor = if quick {
         ImageSensor::new(48, 32)
     } else {
@@ -39,7 +41,7 @@ fn main() {
     );
     let sweep = {
         let _span = tel.span("fig4.sweep");
-        fig4::sweep_threaded(&sensor, quick, threads)
+        fig4::sweep(&sensor, quick)
     };
     for p in sweep {
         let geom = format!(
@@ -53,11 +55,12 @@ fn main() {
         );
     }
     println!("{}", table.render_timed(&tel));
-    if let Ok(Some(path)) = table::write_csv_if_requested(&table, "fig4_image_sensor") {
-        println!("(csv written to {})", path.display());
+    if args.switch("--csv") {
+        println!("(csv written to {})", table::write_csv(&table, "fig4_image_sensor")?.display());
     }
     println!("Paper shape: Spiral nearly optimal without stable lines (11-13 % reduction, ~5 %");
     println!("for the multiplexed colours); with stable lines the optimal assignment gains a");
     println!("few extra percentage points by exploiting inversions and stable-line coupling.");
     obs::finish(&tel);
+    Ok(0)
 }

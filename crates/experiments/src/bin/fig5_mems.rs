@@ -1,16 +1,29 @@
 //! Regenerates the paper's Fig. 5: power reduction for MEMS sensor
 //! streams (magnetometer, accelerometer, gyroscope; RMS vs. XYZ
 //! interleaved; all sensors multiplexed) over a 4×4 array.
-//!
-//! Usage: `cargo run --release -p tsv3d-experiments --bin fig5_mems [--quick]`
 
+use tsv3d_bench::cli::{self, Args, Arity::Switch, Fail, Subcommand};
 use tsv3d_experiments::fig5;
 use tsv3d_experiments::obs;
 use tsv3d_experiments::table::{self, TextTable};
 
+const USAGE: &str = "\
+Usage: fig5_mems [--quick] [--csv]
+
+  --quick    2 000 samples per axis instead of 3 900, short anneal
+  --csv      also write results/fig5_mems.csv
+";
+
 fn main() {
+    cli::main(&Subcommand {
+        name: "fig5_mems", about: "Fig. 5: MEMS sensor streams", usage: USAGE,
+        flags: &[("--quick", Switch), ("--csv", Switch)], positionals: 0, run,
+    })
+}
+
+fn run(args: &Args) -> Result<i32, Fail> {
     let tel = obs::for_binary("fig5_mems");
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = args.switch("--quick");
     let samples = if quick { 2_000 } else { 3_900 };
     println!(
         "Fig. 5 — MEMS sensor streams, 16 b, 4x4 array r=2um d=8um ({} samples/axis,",
@@ -32,11 +45,12 @@ fn main() {
         );
     }
     println!("{}", table.render_timed(&tel));
-    if let Ok(Some(path)) = table::write_csv_if_requested(&table, "fig5_mems") {
-        println!("(csv written to {})", path.display());
+    if args.switch("--csv") {
+        println!("(csv written to {})", table::write_csv(&table, "fig5_mems")?.display());
     }
     println!("Paper shape: interleaved (XYZ) streams — Sawtooth only slightly below optimal;");
     println!("RMS streams (unsigned, temporally correlated) — Spiral clearly beats Sawtooth");
     println!("but tops out lower than the interleaved case.");
     obs::finish(&tel);
+    Ok(0)
 }

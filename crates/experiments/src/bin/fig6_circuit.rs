@@ -2,27 +2,29 @@
 //! drivers and leakage, 3 GHz, r = 1 µm / d = 4 µm, scaled to an
 //! effective 32 b per cycle) for six coded data streams, with and
 //! without the optimal bit-to-TSV assignment.
-//!
-//! Usage: `cargo run --release -p tsv3d-experiments --bin fig6_circuit [--quick] [--threads N]`
-//!
-//! `--threads 0` (the default) uses one worker per CPU; any thread
-//! count produces bit-identical tables.
 
+use tsv3d_bench::cli::{self, Args, Arity::Switch, Fail, Subcommand};
 use tsv3d_experiments::fig6;
 use tsv3d_experiments::obs;
-use tsv3d_experiments::par;
 use tsv3d_experiments::table::{self, TextTable};
 
+const USAGE: &str = "\
+Usage: fig6_circuit [--quick] [--csv]
+
+  --quick    600 samples per axis instead of 3 900, short anneal
+  --csv      also write results/fig6_circuit.csv
+";
+
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let threads = par::threads_from_args();
-    let tel = obs::for_binary_with(
-        "fig6_circuit",
-        obs::RunMeta {
-            threads: Some(par::resolve_threads(threads)),
-            ..Default::default()
-        },
-    );
+    cli::main(&Subcommand {
+        name: "fig6_circuit", about: "Fig. 6: circuit-level power with coding", usage: USAGE,
+        flags: &[("--quick", Switch), ("--csv", Switch)], positionals: 0, run,
+    })
+}
+
+fn run(args: &Args) -> Result<i32, Fail> {
+    let quick = args.switch("--quick");
+    let tel = obs::for_binary("fig6_circuit");
     let samples = if quick { 600 } else { 3_900 };
     println!(
         "Fig. 6 — circuit-level power, 3 GHz, r=1um d=4um, scaled to 32 b/cycle ({} samples/axis)\n",
@@ -34,7 +36,7 @@ fn main() {
     );
     let points = {
         let _span = tel.span("fig6.sweep");
-        fig6::sweep_threaded(samples, quick, threads)
+        fig6::sweep(samples, quick)
     };
     for p in &points {
         table.row(
@@ -43,8 +45,8 @@ fn main() {
         );
     }
     println!("{}", table.render_timed(&tel));
-    if let Ok(Some(path)) = table::write_csv_if_requested(&table, "fig6_circuit") {
-        println!("(csv written to {})", path.display());
+    if args.switch("--csv") {
+        println!("(csv written to {})", table::write_csv(&table, "fig6_circuit")?.display());
     }
 
     // The paper's cross-variant comparisons.
@@ -84,4 +86,5 @@ fn main() {
         (1.0 - corr.power_assigned_mw / rgb.power_plain_mw) * 100.0
     );
     obs::finish(&tel);
+    Ok(0)
 }

@@ -2,16 +2,28 @@
 //! the switching saving does not carry over one-to-one (the extra via
 //! costs capacitance), and the bit-to-TSV assignment stacks additional
 //! savings at zero cost (Secs. 1 and 6 context).
-//!
-//! Usage: `cargo run --release -p tsv3d-experiments --bin tab_businvert [--quick]`
 
+use tsv3d_bench::cli::{self, Args, Arity::Switch, Fail, Subcommand};
 use tsv3d_experiments::obs;
 use tsv3d_experiments::table::TextTable;
 use tsv3d_experiments::tables;
 
+const USAGE: &str = "\
+Usage: tab_businvert [--quick]
+
+  --quick    3 000 cycles instead of 20 000
+";
+
 fn main() {
+    cli::main(&Subcommand {
+        name: "tab_businvert", about: "bus-invert on TSVs", usage: USAGE,
+        flags: &[("--quick", Switch)], positionals: 0, run,
+    })
+}
+
+fn run(args: &Args) -> Result<i32, Fail> {
     let tel = obs::for_binary("tab_businvert");
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = args.switch("--quick");
     let cycles = if quick { 3_000 } else { 20_000 };
     println!("Bus-invert on TSVs — uniform 8 b data, r=1um d=4um, 3 GHz ({cycles} cycles)\n");
     let study = {
@@ -36,4 +48,5 @@ fn main() {
         study.assignment_gain_pct()
     );
     obs::finish(&tel);
+    Ok(0)
 }

@@ -1,15 +1,27 @@
 //! Validates the capacitance-model claims of the paper's Secs. 2–4:
 //! linearity of C(p), the MOS-effect magnitude, and the structural
 //! heterogeneity of the array capacitances.
-//!
-//! Usage: `cargo run --release -p tsv3d-experiments --bin tab_capmodel`
 
+use tsv3d_bench::cli::{self, Args, Fail, Subcommand};
 use tsv3d_experiments::obs;
 use tsv3d_experiments::table::TextTable;
 use tsv3d_experiments::tables;
 use tsv3d_model::TsvGeometry;
 
+const USAGE: &str = "\
+Usage: tab_capmodel
+
+Prints the Secs. 2-4 capacitance-model checks; takes no options.
+";
+
 fn main() {
+    cli::main(&Subcommand {
+        name: "tab_capmodel", about: "Secs. 2-4: capacitance-model checks", usage: USAGE,
+        flags: &[], positionals: 0, run,
+    })
+}
+
+fn run(_: &Args) -> Result<i32, Fail> {
     let tel = obs::for_binary("tab_capmodel");
     println!("Secs. 2-4 — capacitance-model validation (4x4 arrays)\n");
     let mut table = TextTable::new(
@@ -44,4 +56,5 @@ fn main() {
     println!("(up to ~40 % for the minimum geometry); corner totals below middle totals");
     println!("(< 1.0); direct couplings clearly above diagonal ones (> 1.0).");
     obs::finish(&tel);
+    Ok(0)
 }

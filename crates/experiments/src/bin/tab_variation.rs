@@ -1,16 +1,29 @@
 //! Process-variation robustness of the fixed bit-to-TSV assignment:
 //! Monte-Carlo perturbation of the capacitance model, comparing the
 //! design-time assignment against per-instance re-optimisation.
-//!
-//! Usage: `cargo run --release -p tsv3d-experiments --bin tab_variation [--quick]`
 
+use tsv3d_bench::cli::{self, Args, Arity::Switch, Fail, Subcommand};
 use tsv3d_experiments::obs;
 use tsv3d_experiments::table::{self, TextTable};
 use tsv3d_experiments::variation;
 
+const USAGE: &str = "\
+Usage: tab_variation [--quick] [--csv]
+
+  --quick    6 instances and 8 000 cycles instead of 20 and 20 000, short anneal
+  --csv      also write results/tab_variation.csv
+";
+
 fn main() {
+    cli::main(&Subcommand {
+        name: "tab_variation", about: "process-variation robustness", usage: USAGE,
+        flags: &[("--quick", Switch), ("--csv", Switch)], positionals: 0, run,
+    })
+}
+
+fn run(args: &Args) -> Result<i32, Fail> {
     let tel = obs::for_binary("tab_variation");
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = args.switch("--quick");
     let instances = if quick { 6 } else { 20 };
     println!("Process-variation robustness — 4x4 r=1um d=4um, sequential stream");
     println!("({instances} Monte-Carlo instances per sigma, reductions vs mean random)\n");
@@ -33,10 +46,11 @@ fn main() {
         );
     }
     println!("{}", t.render_timed(&tel));
-    if let Ok(Some(path)) = table::write_csv_if_requested(&t, "tab_variation") {
-        println!("(csv written to {})", path.display());
+    if args.switch("--csv") {
+        println!("(csv written to {})", table::write_csv(&t, "tab_variation")?.display());
     }
     println!("Reading: the design-time assignment is robust — it keeps nearly the whole");
     println!("gain under realistic capacitance jitter, so no per-die tuning is needed.");
     obs::finish(&tel);
+    Ok(0)
 }

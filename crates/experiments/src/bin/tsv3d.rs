@@ -155,8 +155,7 @@ fn main() {
 /// Runs `body` under the binary's telemetry handle, whose `run.start`
 /// carries the workload `seed`.
 fn traced(seed: u64, body: impl FnOnce(&TelemetryHandle) -> Result<(), Fail>) -> Result<i32, Fail> {
-    let meta = obs::RunMeta { seed: Some(seed), ..Default::default() };
-    let tel = obs::for_binary_with("tsv3d", meta);
+    let tel = obs::for_binary_with("tsv3d", Some(seed));
     let outcome = body(&tel);
     obs::finish(&tel);
     outcome.map(|()| 0)

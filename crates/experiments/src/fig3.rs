@@ -101,45 +101,13 @@ pub fn point_with_telemetry(
     p
 }
 
-/// The full σ sweep for one correlation setting.
-pub fn sweep(rho: f64, cycles: usize, quick: bool) -> Vec<Fig3Point> {
-    sweep_with_telemetry(rho, cycles, quick, &TelemetryHandle::disabled())
-}
-
-/// [`sweep`] with instrumentation (see [`point_with_telemetry`]).
-pub fn sweep_with_telemetry(
-    rho: f64,
-    cycles: usize,
-    quick: bool,
-    tel: &TelemetryHandle,
-) -> Vec<Fig3Point> {
-    sweep_threaded(rho, cycles, quick, 1, tel)
-}
-
-/// [`sweep_with_telemetry`] with the σ points fanned over a scoped
-/// work queue (`threads`: `0` = one worker per CPU, `1` = inline).
-///
-/// Every point is a pure function of its σ, so the results are
-/// bit-identical for every thread count. When more than one worker
-/// runs, each point's telemetry is stamped with a `fig3.s{index}`
-/// thread label so `tsv3d trace` nests concurrent spans correctly;
-/// a serial sweep emits exactly the unlabelled stream it always did.
-pub fn sweep_threaded(
-    rho: f64,
-    cycles: usize,
-    quick: bool,
-    threads: usize,
-    tel: &TelemetryHandle,
-) -> Vec<Fig3Point> {
-    let workers = crate::par::resolve_threads(threads).min(SIGMAS.len());
-    crate::par::run_indexed(workers, SIGMAS.len(), |i| {
-        if workers > 1 {
-            let tel = tel.with_thread_label(&format!("fig3.s{i}"));
-            point_with_telemetry(SIGMAS[i], rho, cycles, quick, &tel)
-        } else {
-            point_with_telemetry(SIGMAS[i], rho, cycles, quick, tel)
-        }
-    })
+/// The full σ sweep for one correlation setting, each point
+/// instrumented on `tel` (see [`point_with_telemetry`]).
+pub fn sweep(rho: f64, cycles: usize, quick: bool, tel: &TelemetryHandle) -> Vec<Fig3Point> {
+    SIGMAS
+        .iter()
+        .map(|&sigma| point_with_telemetry(sigma, rho, cycles, quick, tel))
+        .collect()
 }
 
 #[cfg(test)]
@@ -183,21 +151,6 @@ mod tests {
             "flow.random_baseline",
         ] {
             assert_eq!(tel.histogram(stage).map(|h| h.count()), Some(1), "{stage}");
-        }
-    }
-
-    #[test]
-    fn threaded_sweep_is_bit_identical_to_serial() {
-        let serial = sweep(0.3, 1_500, true);
-        for threads in [2, 0] {
-            let par = sweep_threaded(
-                0.3,
-                1_500,
-                true,
-                threads,
-                &TelemetryHandle::disabled(),
-            );
-            assert_eq!(serial, par, "threads={threads}");
         }
     }
 

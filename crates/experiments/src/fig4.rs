@@ -173,21 +173,12 @@ pub fn bar_groups() -> Vec<(Fig4Scenario, TsvGeometry)> {
     groups
 }
 
-/// The full figure, computed serially.
+/// The full figure.
 pub fn sweep(sensor: &ImageSensor, quick: bool) -> Vec<Fig4Point> {
-    sweep_threaded(sensor, quick, 1)
-}
-
-/// [`sweep`] with the bar groups fanned over a scoped work queue
-/// (`threads`: `0` = one worker per CPU, `1` = inline). Each group is a
-/// pure function of its `(scenario, geometry)` pair, so the results are
-/// bit-identical for every thread count.
-pub fn sweep_threaded(sensor: &ImageSensor, quick: bool, threads: usize) -> Vec<Fig4Point> {
-    let groups = bar_groups();
-    crate::par::run_indexed(threads, groups.len(), |i| {
-        let (scenario, geometry) = groups[i];
-        point(scenario, geometry, sensor, quick)
-    })
+    bar_groups()
+        .into_iter()
+        .map(|(scenario, geometry)| point(scenario, geometry, sensor, quick))
+        .collect()
 }
 
 #[cfg(test)]

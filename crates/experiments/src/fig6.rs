@@ -218,18 +218,9 @@ pub fn point(stream_kind: Fig6Stream, samples: usize, quick: bool) -> Fig6Point 
     }
 }
 
-/// The full figure, computed serially.
+/// The full figure.
 pub fn sweep(samples: usize, quick: bool) -> Vec<Fig6Point> {
-    sweep_threaded(samples, quick, 1)
-}
-
-/// [`sweep`] with the six streams fanned over a scoped work queue
-/// (`threads`: `0` = one worker per CPU, `1` = inline). Each bar pair is
-/// a pure function of its stream kind, so the results are bit-identical
-/// for every thread count.
-pub fn sweep_threaded(samples: usize, quick: bool, threads: usize) -> Vec<Fig6Point> {
-    let streams = Fig6Stream::all();
-    crate::par::run_indexed(threads, streams.len(), |i| point(streams[i], samples, quick))
+    Fig6Stream::all().into_iter().map(|s| point(s, samples, quick)).collect()
 }
 
 #[cfg(test)]

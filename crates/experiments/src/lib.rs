@@ -24,11 +24,10 @@
 //! The [`common`] module holds the shared plumbing (problem assembly,
 //! reduction bookkeeping, applying an assignment to a stream),
 //! [`flow`] the one-call analysis facade for downstream adopters,
-//! [`table`] a small fixed-width table printer for the binaries,
+//! [`table`] a small fixed-width table printer for the binaries, and
 //! [`obs`] the `TSV3D_TELEMETRY` observability switch shared by every
-//! binary (off by default; see the README's *Observability* section),
-//! and [`par`] the scoped work queue the `--threads` flags of the
-//! figure binaries fan their sweep points over.
+//! binary (off by default; see the README's *Observability* section).
+//! Each binary parses its flags through `tsv3d_bench::cli`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,7 +42,6 @@ pub mod fig4;
 pub mod fig5;
 pub mod fig6;
 pub mod obs;
-pub mod par;
 pub mod pareto;
 pub mod phases;
 pub mod redundancy;

@@ -41,14 +41,9 @@ use tsv3d_telemetry::alloc;
 #[global_allocator]
 static GLOBAL_ALLOC: alloc::CountingAlloc = alloc::CountingAlloc::system();
 
-/// What [`finish`] needs to append a `run` history record: set once by
-/// the first [`for_binary_with`] call of the process.
-struct RunContext {
-    binary: String,
-    threads: u64,
-}
-
-static RUN_CONTEXT: OnceLock<RunContext> = OnceLock::new();
+/// The binary name [`finish`] records in a `run` history record: set
+/// once by the first [`for_binary_with`] call of the process.
+static RUN_BINARY: OnceLock<String> = OnceLock::new();
 
 /// The cross-run ledger path for experiment binaries: the opt-in
 /// `TSV3D_HISTORY` env var. Deliberately **no default** — `tsv3d bench`
@@ -61,17 +56,6 @@ fn history_path() -> Option<PathBuf> {
         .map(PathBuf::from)
 }
 
-/// Optional provenance for [`for_binary_with`]: what the binary knows
-/// about its own run beyond its name.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RunMeta {
-    /// The workload seed, when the binary has a single governing one.
-    pub seed: Option<u64>,
-    /// The requested worker-pool size (`0` = one per CPU); defaults to
-    /// the host's available parallelism when absent.
-    pub threads: Option<usize>,
-}
-
 /// Builds the process-wide telemetry handle for one experiment binary
 /// from the `TSV3D_TELEMETRY` environment switch and announces the run
 /// with a `run.start` event.
@@ -79,35 +63,36 @@ pub struct RunMeta {
 /// `run.start` carries enough provenance to attribute a trace to a
 /// commit and configuration — the same fields `BENCH_*.json` records:
 /// the binary name, abbreviated git revision, telemetry mode, thread
-/// count, and (via [`for_binary_with`]) the workload seed.
+/// count (the host's available parallelism), and (via
+/// [`for_binary_with`]) the workload seed.
 pub fn for_binary(binary: &str) -> TelemetryHandle {
-    for_binary_with(binary, RunMeta::default())
+    for_binary_with(binary, None)
 }
 
-/// [`for_binary`] with explicit run provenance (seed, thread count).
-pub fn for_binary_with(binary: &str, meta: RunMeta) -> TelemetryHandle {
+/// [`for_binary`] with the workload seed, when the binary has a single
+/// governing one.
+pub fn for_binary_with(binary: &str, seed: Option<u64>) -> TelemetryHandle {
     let tel = TelemetryHandle::from_env(binary);
     if tel.is_enabled() {
         let mode = std::env::var("TSV3D_TELEMETRY").unwrap_or_else(|_| "off".to_string());
-        let threads = meta.threads.unwrap_or_else(|| {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        });
         let mut fields = vec![
             ("binary", Value::from(binary)),
             ("git_rev", Value::from(tsv3d_bench::report::git_rev())),
             ("telemetry", Value::from(mode)),
-            ("threads", Value::from(threads)),
+            ("threads", Value::from(threads())),
         ];
-        if let Some(seed) = meta.seed {
+        if let Some(seed) = seed {
             fields.push(("seed", Value::from(seed)));
         }
         tel.event("run.start", &fields);
-        let _ = RUN_CONTEXT.set(RunContext {
-            binary: binary.to_string(),
-            threads: threads as u64,
-        });
+        let _ = RUN_BINARY.set(binary.to_string());
     }
     tel
+}
+
+/// The thread count a run records: the host's available parallelism.
+fn threads() -> u64 {
+    tsv3d_bench::report::available_parallelism().unwrap_or(1)
 }
 
 /// Ends an instrumented run: emits `run.done`, prints the aggregate
@@ -145,10 +130,10 @@ pub fn finish(tel: &TelemetryHandle) {
     tel.event("run.done", &fields);
     eprintln!("{}", tel.summary());
     tel.flush();
-    if let (Some(path), Some(ctx)) = (history_path(), RUN_CONTEXT.get()) {
+    if let (Some(path), Some(binary)) = (history_path(), RUN_BINARY.get()) {
         let record = history::HistoryRecord {
             kind: "run".to_string(),
-            case: ctx.binary.clone(),
+            case: binary.clone(),
             git_rev: tsv3d_bench::report::git_rev(),
             unix_time_s: std::time::SystemTime::now()
                 .duration_since(std::time::UNIX_EPOCH)
@@ -158,7 +143,7 @@ pub fn finish(tel: &TelemetryHandle) {
             p95_ns: None,
             alloc_bytes_per_iter: None,
             wall_s: Some(tel.elapsed_seconds()),
-            threads: ctx.threads,
+            threads: threads(),
             available_parallelism: tsv3d_bench::report::available_parallelism(),
         };
         if let Err(err) = history::append(&path, &[record]) {

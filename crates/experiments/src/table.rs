@@ -1,6 +1,8 @@
 //! A small fixed-width text-table printer for the experiment binaries.
 
 use std::fmt::Write as _;
+use std::path::{Path, PathBuf};
+use tsv3d_bench::cli::Fail;
 use tsv3d_telemetry::TelemetryHandle;
 
 /// A simple left-header, right-aligned-columns text table.
@@ -114,24 +116,19 @@ impl TextTable {
     }
 }
 
-/// Writes the table as CSV into `results/<name>.csv` when the process
-/// was started with a `--csv` argument; returns the path written.
+/// Writes the table as CSV into `results/<name>.csv` and returns the
+/// path written.
 ///
 /// # Errors
 ///
-/// Propagates filesystem errors from creating `results/` or the file.
-pub fn write_csv_if_requested(
-    table: &TextTable,
-    name: &str,
-) -> std::io::Result<Option<std::path::PathBuf>> {
-    if !std::env::args().any(|a| a == "--csv") {
-        return Ok(None);
-    }
-    let dir = std::path::Path::new("results");
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{name}.csv"));
-    std::fs::write(&path, table.to_csv())?;
-    Ok(Some(path))
+/// A runtime failure naming the path when `results/` or the file
+/// cannot be written.
+pub fn write_csv(table: &TextTable, name: &str) -> Result<PathBuf, Fail> {
+    let path = Path::new("results").join(format!("{name}.csv"));
+    std::fs::create_dir_all("results")
+        .and_then(|()| std::fs::write(&path, table.to_csv()))
+        .map_err(|e| Fail::Runtime(format!("cannot write `{}`: {e}", path.display())))?;
+    Ok(path)
 }
 
 #[cfg(test)]

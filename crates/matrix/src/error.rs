@@ -29,6 +29,13 @@ pub enum PermError {
         /// The line that is targeted twice.
         line: usize,
     },
+    /// A bit's entry in the text form is not a line number.
+    MalformedEntry {
+        /// The offending bit.
+        bit: usize,
+        /// Its entry, as written.
+        token: String,
+    },
 }
 
 impl fmt::Display for PermError {
@@ -44,6 +51,9 @@ impl fmt::Display for PermError {
             ),
             PermError::DuplicateLine { line } => {
                 write!(f, "line {line} is targeted by more than one bit")
+            }
+            PermError::MalformedEntry { bit, token } => {
+                write!(f, "bit {bit} has entry `{token}`, expected a line number")
             }
         }
     }
@@ -63,5 +73,7 @@ mod tests {
         assert!(e.to_string().contains("line 9"));
         let e = PermError::DuplicateLine { line: 2 };
         assert!(e.to_string().contains("line 2"));
+        let e = PermError::MalformedEntry { bit: 1, token: "x".into() };
+        assert_eq!(e.to_string(), "bit 1 has entry `x`, expected a line number");
     }
 }

@@ -470,9 +470,7 @@ impl std::str::FromStr for SignedPerm {
     type Err = PermError;
 
     /// Parses the [`Display`](SignedPerm#impl-Display-for-SignedPerm)
-    /// form. Malformed entries surface as
-    /// [`PermError::LineOutOfRange`] with `line = usize::MAX` markers
-    /// for unparseable numbers.
+    /// form.
     fn from_str(s: &str) -> Result<Self, PermError> {
         let mut line_of_bit = Vec::new();
         let mut inverted = Vec::new();
@@ -482,10 +480,9 @@ impl std::str::FromStr for SignedPerm {
                 Some(rest) => (rest.trim(), true),
                 None => (token, false),
             };
-            let line = digits.parse::<usize>().map_err(|_| PermError::LineOutOfRange {
+            let line = digits.parse::<usize>().map_err(|_| PermError::MalformedEntry {
                 bit,
-                line: usize::MAX,
-                n: 0,
+                token: token.to_string(),
             })?;
             line_of_bit.push(line);
             inverted.push(inv);
@@ -515,7 +512,11 @@ mod text_tests {
 
     #[test]
     fn parse_rejects_garbage_and_invalid_permutations() {
-        assert!("a,b".parse::<SignedPerm>().is_err());
+        let malformed = |bit, token: &str| {
+            Err(PermError::MalformedEntry { bit, token: token.to_string() })
+        };
+        assert_eq!("a,b".parse::<SignedPerm>(), malformed(0, "a"));
+        assert_eq!("0,x".parse::<SignedPerm>(), malformed(1, "x"));
         assert!("0,0".parse::<SignedPerm>().is_err()); // duplicate line
         assert!("0,5".parse::<SignedPerm>().is_err()); // out of range
         assert!("".parse::<SignedPerm>().is_err());

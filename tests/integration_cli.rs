@@ -1,20 +1,27 @@
 //! End-to-end tests of the `tsv3d` multiplexer binary: command
 //! dispatch, the usage/exit-code contract of all eleven commands, the
-//! assignment-flow commands' stdout, and the `bench`/`trace` surfaces.
+//! assignment-flow commands' stdout, and the `bench`/`trace` surfaces;
+//! plus the same contract and `--csv` for the 14 table binaries.
 //!
 //! Exit-code contract: 0 success, 1 runtime failure or gated
 //! regression, 2 usage error (unknown command/option, missing or
 //! out-of-range value).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn tsv3d(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_tsv3d"))
+    run(env!("CARGO_BIN_EXE_tsv3d"), args, Path::new("."))
+}
+
+/// Runs the executable `exe` on `args` in `dir`, with telemetry off.
+fn run(exe: &str, args: &[&str], dir: &Path) -> Output {
+    Command::new(exe)
         .args(args)
+        .current_dir(dir)
         .env_remove("TSV3D_TELEMETRY")
         .output()
-        .expect("tsv3d binary runs")
+        .expect("binary runs")
 }
 
 fn stdout(output: &Output) -> String {
@@ -102,6 +109,7 @@ fn out_of_range_values_and_foreign_flags_are_usage_errors() {
         &["noise", "--probs", "all:1.5"],
         &["eval"],
         &["eval", "--assignment", "0,1,2"],
+        &["eval", "--rows", "2", "--cols", "2", "--assignment", "0,x,2,3"],
         &["dash", "--live", "127.0.0.1:1"],
     ] {
         let out = tsv3d(args);
@@ -109,6 +117,9 @@ fn out_of_range_values_and_foreign_flags_are_usage_errors() {
         let usage = format!("Usage: tsv3d {}", args[0]);
         assert!(stderr(&out).contains(&usage), "{args:?}: {}", stderr(&out));
     }
+    // A malformed entry is named, not reported as an out-of-range line.
+    let out = tsv3d(&["eval", "--rows", "2", "--cols", "2", "--assignment", "0,x,2,3"]);
+    assert!(stderr(&out).contains("bit 1 has entry `x`"), "{}", stderr(&out));
 }
 
 #[test]
@@ -430,4 +441,101 @@ fn trace_missing_file_exits_1() {
     let out = tsv3d(&["trace", "/nonexistent/никогда.jsonl"]);
     assert_eq!(out.status.code(), Some(1));
     assert!(stderr(&out).contains("cannot read"));
+}
+
+/// The 14 table binaries, each with whether it takes `--quick` and
+/// `--csv`.
+const TABLES: [(&str, &str, bool, bool); 14] = [
+    ("fig2_sequential", env!("CARGO_BIN_EXE_fig2_sequential"), true, true),
+    ("fig3_gaussian", env!("CARGO_BIN_EXE_fig3_gaussian"), true, true),
+    ("fig4_image_sensor", env!("CARGO_BIN_EXE_fig4_image_sensor"), true, true),
+    ("fig5_mems", env!("CARGO_BIN_EXE_fig5_mems"), true, true),
+    ("fig6_circuit", env!("CARGO_BIN_EXE_fig6_circuit"), true, true),
+    ("tab_businvert", env!("CARGO_BIN_EXE_tab_businvert"), true, false),
+    ("tab_capmodel", env!("CARGO_BIN_EXE_tab_capmodel"), false, false),
+    ("tab_crosstalk", env!("CARGO_BIN_EXE_tab_crosstalk"), true, true),
+    ("tab_geometry", env!("CARGO_BIN_EXE_tab_geometry"), true, true),
+    ("tab_overhead", env!("CARGO_BIN_EXE_tab_overhead"), false, false),
+    ("tab_pareto", env!("CARGO_BIN_EXE_tab_pareto"), true, true),
+    ("tab_phases", env!("CARGO_BIN_EXE_tab_phases"), true, true),
+    ("tab_redundancy", env!("CARGO_BIN_EXE_tab_redundancy"), true, true),
+    ("tab_variation", env!("CARGO_BIN_EXE_tab_variation"), true, true),
+];
+
+#[test]
+fn table_binaries_follow_the_exit_code_contract() {
+    let here = Path::new(".");
+    for (name, exe, quick, csv) in TABLES {
+        let usage = format!("Usage: {name}");
+        for help in ["--help", "-h"] {
+            let out = run(exe, &[help], here);
+            assert_eq!(out.status.code(), Some(0), "`{name} {help}`");
+            assert!(stdout(&out).contains(&usage), "`{name} {help}`: {}", stdout(&out));
+        }
+        for wrong in ["--frobnicate", "extra"] {
+            let out = run(exe, &[wrong], here);
+            assert_eq!(out.status.code(), Some(2), "`{name} {wrong}`");
+            assert!(stderr(&out).contains(&usage), "`{name} {wrong}`: {}", stderr(&out));
+        }
+        // The flags the usage names; `--help` after a known flag wins,
+        // so no figure runs.
+        let text = stdout(&run(exe, &["--help"], here));
+        let named: Vec<&str> = text
+            .split(|c: char| c.is_whitespace() || c == '[' || c == ']')
+            .filter(|word| word.starts_with("--"))
+            .collect();
+        for &flag in &named {
+            let out = run(exe, &[flag, "--help"], here);
+            assert_eq!(out.status.code(), Some(0), "`{name} {flag} --help`");
+        }
+        for (flag, takes) in [("--quick", quick), ("--csv", csv), ("--threads", false)] {
+            assert_eq!(named.contains(&flag), takes, "{name}'s usage and {flag}: {text}");
+            if !takes {
+                let out = run(exe, &[flag, "--help"], here);
+                assert_eq!(out.status.code(), Some(2), "`{name} {flag} --help`");
+            }
+        }
+    }
+    // A misspelt flag no longer runs the full figure, and the retired
+    // sweep-level `--threads` is an unknown option.
+    for args in [&["fig5_mems", "--quik"][..], &["fig3_gaussian", "--threads", "2"]] {
+        let exe = TABLES.iter().find(|t| t.0 == args[0]).expect("a table binary").1;
+        let out = run(exe, &args[1..], here);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let unknown = format!("unknown {} option `{}`", args[0], args[1]);
+        assert!(stderr(&out).contains(&unknown), "{args:?}: {}", stderr(&out));
+    }
+}
+
+#[test]
+fn csv_writes_the_table_and_a_failed_write_exits_1() {
+    let exe = env!("CARGO_BIN_EXE_tab_phases");
+    let dir = scratch("csv");
+    let out = run(exe, &["--quick", "--csv"], &dir);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    let text = stdout(&out);
+    assert!(text.contains("mapping"), "{text}");
+    assert!(text.contains("\n(csv written to results/tab_phases.csv)\n"), "{text}");
+    let csv = std::fs::read_to_string(dir.join("results/tab_phases.csv")).expect("csv written");
+    let lines: Vec<&str> = csv.lines().collect();
+    assert_eq!(lines.len(), 3, "{csv}");
+    assert_eq!(lines[0], "mapping,P_red vs random [%]");
+    for (line, label) in lines[1..].iter().zip(["fixed (paper's setting)", "re-optimized per phase"]) {
+        let value: f64 = line
+            .strip_prefix(&format!("{label},"))
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("`{line}` is not the {label} row"));
+        let row = text.lines().find(|l| l.starts_with(label)).expect("table row");
+        assert!(row.ends_with(&format!("{value:.2}")), "`{row}` vs csv {value}");
+    }
+
+    // A plain file where `results/` belongs: the write fails, exit 1.
+    let blocked = scratch("csv_blocked");
+    std::fs::write(blocked.join("results"), "").unwrap();
+    let out = run(exe, &["--quick", "--csv"], &blocked);
+    assert_eq!(out.status.code(), Some(1), "stdout: {}", stdout(&out));
+    assert!(stderr(&out).contains("results/tab_phases.csv"), "{}", stderr(&out));
+    for dir in [dir, blocked] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }
