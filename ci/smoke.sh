@@ -106,23 +106,39 @@ step "History gate fixtures hold their exit codes"
 expect 0 "$BIN" history tests/data/history_steady.jsonl --gate-detect
 expect 1 "$BIN" history tests/data/history_regressed.jsonl --gate-detect
 
-step "Instrumented assign run; converge replays its trace"
-(cd "$OUT" && TSV3D_TELEMETRY=json "$BIN" assign --rows 4 --cols 4 --method anneal > /dev/null)
-"$BIN" converge "$OUT/results/tsv3d_telemetry.jsonl" > "$OUT/replay.txt"
-grep -q 'restart series' "$OUT/replay.txt"
+# converged X.jsonl N: its trace report (X.txt) shows N restart series
+# and its JSON (X.json) carries the trace schema.
+converged() {
+  "$BIN" trace "$1" > "${1%.jsonl}.txt"
+  grep -q "convergence: $2 restart series" "${1%.jsonl}.txt"
+  "$BIN" trace "$1" --format json > "${1%.jsonl}.json"
+  grep -q '"schema":"tsv3d-trace/v2"' "${1%.jsonl}.json"
+}
 
-step "Converge: record an anneal.epoch trace and analyze it"
-"$BIN" bench --case anneal_quick_3x3 --iters 1 --warmup 0 --no-history \
-  --out-dir "$OUT/converge" --trace "$OUT/converge/quick.jsonl"
-grep -q '"event":"anneal.epoch"' "$OUT/converge/quick.jsonl"
-"$BIN" converge "$OUT/converge/quick.jsonl" | tee "$OUT/converge/report.txt"
-grep -q 'restart series' "$OUT/converge/report.txt"
-"$BIN" converge "$OUT/converge/quick.jsonl" --format json > "$OUT/converge/report.json"
-grep -q '"schema":"tsv3d-converge/v1"' "$OUT/converge/report.json"
-"$BIN" converge "$OUT/converge/quick.jsonl" --svg "$OUT/converge/a.svg"
-"$BIN" converge "$OUT/converge/quick.jsonl" --svg "$OUT/converge/b.svg"
-cmp "$OUT/converge/a.svg" "$OUT/converge/b.svg"
-"$BIN" converge --compare tests/data/converge_small_a.jsonl tests/data/converge_small_b.jsonl
+step "Instrumented assign run; trace replays its convergence"
+(cd "$OUT" && TSV3D_TELEMETRY=json "$BIN" assign --rows 4 --cols 4 --method anneal > /dev/null)
+converged "$OUT/results/tsv3d_telemetry.jsonl" 3
+
+step "Trace: record anneal.epoch traces, analyze, compare and plot them"
+for run in serial:1 threads:2; do
+  "$BIN" bench --case anneal_quick_3x3 --iters 1 --warmup 0 --no-history \
+    --threads "${run#*:}" --out-dir "$OUT/trace" --trace "$OUT/trace/${run%:*}.jsonl"
+done
+grep -q '"event":"anneal.epoch"' "$OUT/trace/serial.jsonl"
+converged "$OUT/trace/serial.jsonl" 2
+cat "$OUT/trace/serial.txt"
+"$BIN" trace "$OUT/trace/threads.jsonl" --compare "$OUT/trace/serial.jsonl" \
+  --format json > "$OUT/trace/compare.json"
+grep -q '"diverged":0' "$OUT/trace/compare.json"
+"$BIN" trace tests/data/converge_small_b.jsonl --compare tests/data/converge_small_a.jsonl
+trace_dash=("$BIN" dash --trace "$OUT/trace/serial.jsonl" --bench-dir "$OUT/trace"
+  --history tests/data/history_steady.jsonl --artifacts results)
+"${trace_dash[@]}" --out "$OUT/trace/dash.html"
+"${trace_dash[@]}" --out "$OUT/trace/dash-b.html"
+cmp "$OUT/trace/dash.html" "$OUT/trace/dash-b.html"
+grep -q '<h2>Convergence</h2>' "$OUT/trace/dash.html"
+expect 2 "$BIN" converge "$OUT/trace/serial.jsonl"
+expect 2 "$BIN" dash --converge "$OUT/trace/serial.jsonl" --out "$OUT/trace/x.html"
 
 step "Explain: report, JSON fields, fixture baseline, malformed input, SVG"
 explain=("$BIN" explain --rows 4 --cols 4 --cycles 4000 --method greedy --compare identity)

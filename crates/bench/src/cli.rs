@@ -1,6 +1,6 @@
 //! The argument and exit-code scaffold of all `tsv3d` commands, and
-//! the observability subcommands: `bench`, `trace`, `converge`,
-//! `explain`, `history` and `dash`.
+//! the observability subcommands: `bench`, `trace`, `explain`,
+//! `history` and `dash`.
 //!
 //! Each command is one [`Subcommand`] entry of a static table: its
 //! summary, usage text, flag table, positional count and `run`
@@ -17,7 +17,6 @@
 //! `2` usage error or malformed input.
 
 use crate::analytics;
-use crate::converge;
 use crate::dash;
 use crate::explain::{self, ExplainSpec, GeometryKind, Method, StreamSpec};
 use crate::flamegraph;
@@ -55,7 +54,7 @@ Options:
   --no-history          skip the ledger append entirely
   --trace FILE          record the timed loop's telemetry events
                         (anneal.epoch, spans, counters' sources) to
-                        FILE as JSON lines for `tsv3d converge`;
+                        FILE as JSON lines for `tsv3d trace`;
                         warmup stays unrecorded. Best with a single
                         --case and --iters 1 --warmup 0 so the trace
                         covers exactly one run per restart
@@ -66,52 +65,33 @@ Options:
 pub const TRACE_USAGE: &str = "\
 Usage: tsv3d trace <file.jsonl> [options]
 
-Aggregates a telemetry JSON-lines stream (TSV3D_TELEMETRY=json) into
-per-span rollups: count, total/self time, log2-histogram percentiles,
-and — when the trace carries allocator data — total/self allocated
-bytes. Malformed or truncated lines are skipped and counted, never
-fatal; the skipped count is always reported.
+Aggregates a telemetry JSON-lines stream (TSV3D_TELEMETRY=json, or
+`tsv3d bench --trace`) into per-span rollups: count, total/self time,
+log2-histogram percentiles, and — when the trace carries allocator
+data — total/self allocated bytes. A trace holding the annealer's
+anneal.epoch events adds per-restart convergence tables: energy
+descent, accept rates, move mix, iterations to within 1% of the final
+best, wasted iterations and the spread of final energies. Malformed or
+truncated lines are skipped and counted, never fatal; the skipped
+count is always reported.
 
 Options:
+  --compare BASE        diff against the base trace BASE: each shared
+                        span's calls and self time per call in both,
+                        largest per-call change x calls first, then,
+                        when both hold anneal.epoch events, restart by
+                        restart. Exits 1 when the traces share no span
+                        name and no restart label
   --mem                 rank spans by self-allocated bytes instead of
                         total time; --collapsed output becomes
                         bytes-weighted (`parent;child self_bytes`)
   --format json|text    output format (default text); json emits one
-                        machine-readable rollup object on stdout
+                        tsv3d-trace/v2 object on stdout
   --collapsed FILE      also write flamegraph collapsed stacks
                         (`parent;child self_ns` per line) to FILE
   --svg FILE            also render a self-contained flamegraph SVG to
                         FILE (time-weighted; bytes-weighted with --mem).
                         Deterministic: same trace, byte-identical SVG
-";
-
-/// Usage text of `tsv3d converge`.
-pub const CONVERGE_USAGE: &str = "\
-Usage: tsv3d converge <trace.jsonl> [options]
-       tsv3d converge --compare <a.jsonl> <b.jsonl> [options]
-
-Analyzes the annealer's search trajectory from a telemetry JSON-lines
-trace (TSV3D_TELEMETRY=json, or `tsv3d bench --trace`): per-restart
-energy descent, acceptance-rate decay, swap/flip move mix and
-iterations-to-within-epsilon-of-final-best, plus cross-restart
-dispersion diagnostics — which restarts improved the global best,
-wasted-iteration fraction, spread of final energies. Restarts are
-separated by their thread labels (r0..rN). Malformed lines are skipped
-and counted, never fatal; a trace with no anneal.epoch events exits 1.
-
-Options:
-  --compare A B         diff two traces restart-by-restart (e.g.
-                        same-seed serial vs --threads runs) and flag
-                        divergence in accept rate, descent speed or
-                        final energy
-  --epsilon PCT         convergence threshold as a percentage of each
-                        restart's final best energy (default 1)
-  --format json|text    output format (default text); json emits one
-                        tsv3d-converge/v1 object on stdout
-  --svg FILE            also render a deterministic convergence SVG
-                        (one polyline per restart, best power vs
-                        iteration; byte-identical across runs;
-                        single-trace mode only)
 ";
 
 /// Usage text of `tsv3d history`.
@@ -155,10 +135,10 @@ Usage: tsv3d dash [options]
 Renders the unified observability dashboard: one self-contained HTML
 page (inline CSS, inline SVGs, no scripts, no external assets) fusing
 the BENCH_<case>.json artifacts, the history ledger's trailing-window
-trends and changepoint verdicts, an optional flamegraph trace, an
-optional convergence trace, the built-in attribution heatmap, the
-committed experiment artifacts — plus a machine-readable
-tsv3d-dash/v1 JSON index with --format json.
+trends and changepoint verdicts, an optional trace's flamegraph and
+convergence plot, the built-in attribution heatmap, the committed
+experiment artifacts — plus a machine-readable tsv3d-dash/v1 JSON
+index with --format json.
 
 The page is a pure function of its inputs: no wall clock, no current
 git revision — byte-identical across repeated runs. Malformed
@@ -171,8 +151,8 @@ Options:
                         BENCH_*.json (default results/bench)
   --history FILE        cross-run ledger (default results/history.jsonl)
   --trace FILE          telemetry JSONL trace for the flamegraph panel
-  --converge FILE       anneal.epoch JSONL trace for the convergence
-                        panel
+                        and, when it holds anneal.epoch events, the
+                        convergence panel
   --artifacts DIR       directory of committed experiment .txt
                         artifacts to list (default results)
   --out FILE            HTML output path (default
@@ -230,14 +210,12 @@ Options:
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Arity {
     /// A bare switch (`--quick`).
-    Switch = 0,
+    Switch,
     /// One value (`--iters N`).
-    One = 1,
-    /// Two values (`converge --compare A B`).
-    Two = 2,
+    One,
 }
 
-use Arity::{One, Switch, Two};
+use Arity::{One, Switch};
 
 /// Why a command stopped early.
 #[derive(Debug)]
@@ -266,7 +244,7 @@ pub struct Subcommand {
 }
 
 /// Every observability subcommand of the `tsv3d` binary.
-pub const SUBCOMMANDS: [Subcommand; 6] = [
+pub const SUBCOMMANDS: [Subcommand; 5] = [
     Subcommand {
         name: "bench",
         about: "run the benchmark registry, write BENCH_*.json artifacts",
@@ -288,9 +266,10 @@ pub const SUBCOMMANDS: [Subcommand; 6] = [
     },
     Subcommand {
         name: "trace",
-        about: "roll a telemetry .jsonl stream up into spans (--svg: flamegraph)",
+        about: "roll a .jsonl trace up into spans and convergence, --compare diffs",
         usage: TRACE_USAGE,
         flags: &[
+            ("--compare", One),
             ("--mem", Switch),
             ("--format", One),
             ("--collapsed", One),
@@ -298,19 +277,6 @@ pub const SUBCOMMANDS: [Subcommand; 6] = [
         ],
         positionals: 1,
         run: run_trace,
-    },
-    Subcommand {
-        name: "converge",
-        about: "per-restart anneal convergence from anneal.epoch events",
-        usage: CONVERGE_USAGE,
-        flags: &[
-            ("--compare", Two),
-            ("--epsilon", One),
-            ("--format", One),
-            ("--svg", One),
-        ],
-        positionals: 1,
-        run: run_converge,
     },
     Subcommand {
         name: "explain",
@@ -356,7 +322,6 @@ pub const SUBCOMMANDS: [Subcommand; 6] = [
             ("--bench-dir", One),
             ("--history", One),
             ("--trace", One),
-            ("--converge", One),
             ("--artifacts", One),
             ("--out", One),
             ("--window", One),
@@ -434,9 +399,9 @@ fn execute(cmd: &Subcommand, tail: &[String]) -> i32 {
 /// A command's parsed argument tail.
 #[derive(Debug)]
 pub struct Args {
-    /// Flags with their values in command-line order; for a repeated
-    /// flag the last occurrence wins.
-    flags: Vec<(&'static str, Vec<String>)>,
+    /// Flags with their value (none for a switch) in command-line
+    /// order; for a repeated flag the last occurrence wins.
+    flags: Vec<(&'static str, Option<String>)>,
     positionals: Vec<String>,
 }
 
@@ -464,35 +429,35 @@ impl Args {
             else {
                 return Err(Fail::Usage(format!("unknown {} option `{arg}`", cmd.name)));
             };
-            let values: Vec<String> = rest.by_ref().take(arity as usize).cloned().collect();
-            if values.len() < arity as usize {
-                return Err(Fail::Usage(format!("missing value for {flag}")));
-            }
-            if arity == Two && values.iter().any(|v| v.starts_with("--")) {
-                return Err(Fail::Usage(format!("{flag} takes two values")));
-            }
-            args.flags.push((flag, values));
+            let value = match arity {
+                Switch => None,
+                One => match rest.next() {
+                    Some(value) => Some(value.clone()),
+                    None => return Err(Fail::Usage(format!("missing value for {flag}"))),
+                },
+            };
+            args.flags.push((flag, value));
         }
         Ok(Some(args))
     }
 
-    /// The values of the last occurrence of `flag`.
-    fn values(&self, flag: &str) -> Option<&[String]> {
+    /// The value of the last occurrence of `flag`.
+    fn last(&self, flag: &str) -> Option<&Option<String>> {
         self.flags
             .iter()
             .rev()
             .find(|(name, _)| *name == flag)
-            .map(|(_, values)| values.as_slice())
+            .map(|(_, value)| value)
     }
 
     /// Whether the switch `flag` was given.
     pub fn switch(&self, flag: &str) -> bool {
-        self.values(flag).is_some()
+        self.last(flag).is_some()
     }
 
     /// The value of the one-value `flag`.
     pub fn str(&self, flag: &str) -> Option<&str> {
-        self.values(flag)?.first().map(String::as_str)
+        self.last(flag)?.as_deref()
     }
 
     /// The value of `flag` as a path.
@@ -612,21 +577,18 @@ fn create_dir(dir: &Path) -> Result<(), Fail> {
         .map_err(|e| Fail::Runtime(format!("cannot create `{}`: {e}", dir.display())))
 }
 
-/// Reads a telemetry JSON-lines trace through the one event reader
-/// shared by `trace` and `converge`. The skipped-line count
-/// rides inside every output format too, but a degraded trace deserves
-/// a warning that survives `| jq`.
-fn read_events(path: &Path) -> Result<trace::ParsedTrace, Fail> {
-    let events = trace::parse_jsonl(&read(path)?);
-    if events.skipped > 0 {
+/// Reads and analyses a telemetry JSON-lines trace. The skipped-line
+/// count rides inside every output format too, but a degraded trace
+/// deserves a warning that survives `| jq`.
+fn read_trace(path: &str) -> Result<trace::TraceSummary, Fail> {
+    let summary = trace::analyze_text(&read(Path::new(path))?);
+    if summary.skipped > 0 {
         eprintln!(
-            "warning: {} of {} line(s) skipped as malformed in `{}`",
-            events.skipped,
-            events.lines,
-            path.display()
+            "warning: {} of {} line(s) skipped as malformed in `{path}`",
+            summary.skipped, summary.lines
         );
     }
-    Ok(events)
+    Ok(summary)
 }
 
 /// Runs `tsv3d bench`.
@@ -680,7 +642,7 @@ fn run_bench(args: &Args) -> Result<i32, Fail> {
     if trace_sink.is_some() && cases.len() > 1 {
         eprintln!(
             "warning: --trace with {} cases interleaves their restart labels \
-             in one file; prefer a single --case for `tsv3d converge`",
+             in one file; prefer a single --case for `tsv3d trace`",
             cases.len()
         );
     }
@@ -786,24 +748,34 @@ fn run_trace(args: &Args) -> Result<i32, Fail> {
     let Some(file) = args.positional() else {
         return Err(Fail::Usage("trace requires a .jsonl file".to_string()));
     };
-    let summary = trace::analyze(&read_events(Path::new(file))?);
+    if let Some(base) = args.str("--compare") {
+        if by_mem || args.str("--collapsed").is_some() || args.str("--svg").is_some() {
+            return Err(Fail::Usage(
+                "--compare takes no --mem, --collapsed or --svg".to_string(),
+            ));
+        }
+        let cmp = trace::compare(&read_trace(base)?, &read_trace(file)?);
+        if json_format {
+            println!("{}", trace::render_compare_json(&cmp, base, file));
+        } else {
+            print!("{}", trace::render_compare(&cmp, base, file));
+        }
+        if cmp.spans.is_empty() && cmp.converge.is_none_or(|c| c.pairs.is_empty()) {
+            return Err(Fail::Runtime(format!(
+                "`{file}` and `{base}` share no span name and no restart label"
+            )));
+        }
+        return Ok(0);
+    }
+    let summary = read_trace(file)?;
     if json_format {
         println!("{}", trace::render_json(&summary));
     } else {
         println!("file: {file}");
-        if by_mem {
-            print!("{}", trace::render_summary_mem(&summary));
-        } else {
-            print!("{}", trace::render_summary(&summary));
-        }
+        print!("{}", trace::render_summary(&summary, by_mem));
     }
     if let Some(path) = args.path("--collapsed") {
-        let stacks = if by_mem {
-            trace::render_collapsed_bytes(&summary)
-        } else {
-            trace::render_collapsed(&summary)
-        };
-        write(&path, stacks)?;
+        write(&path, trace::render_collapsed(&summary, by_mem))?;
         if !json_format {
             println!("\nwrote collapsed stacks to {}", path.display());
         }
@@ -818,77 +790,6 @@ fn run_trace(args: &Args) -> Result<i32, Fail> {
         if !json_format {
             println!("wrote flamegraph SVG to {}", path.display());
         }
-    }
-    Ok(0)
-}
-
-/// Runs `tsv3d converge`.
-fn run_converge(args: &Args) -> Result<i32, Fail> {
-    let epsilon = args
-        .pct("--epsilon")?
-        .unwrap_or(converge::DEFAULT_EPSILON * 100.0)
-        / 100.0;
-    let json_format = args.json_format()?;
-    let svg_out = args.path("--svg");
-    let load = |path: &Path| read_events(path).map(|events| converge::extract(&events));
-
-    if let Some([a, b]) = args.values("--compare") {
-        if args.positional().is_some() {
-            return Err(Fail::Usage(
-                "--compare takes its two files as values, not positionals".to_string(),
-            ));
-        }
-        if svg_out.is_some() {
-            // One SVG per trace is the single-mode contract; a compare
-            // overlay would double the series without saying which run
-            // is which. Render each file separately instead.
-            return Err(Fail::Usage(
-                "--svg is single-trace only; render each file separately".to_string(),
-            ));
-        }
-        let (data_a, data_b) = (load(Path::new(a))?, load(Path::new(b))?);
-        let empty = data_a.series.is_empty() || data_b.series.is_empty();
-        let report = converge::compare(
-            converge::analyze(&data_a, epsilon),
-            converge::analyze(&data_b, epsilon),
-        );
-        if json_format {
-            println!("{}", converge::render_compare_json(&report, a, b));
-        } else {
-            print!("{}", converge::render_compare(&report, a, b));
-        }
-        if empty {
-            return Err(Fail::Runtime(
-                "no anneal.epoch series on at least one side of --compare".to_string(),
-            ));
-        }
-        return Ok(0);
-    }
-
-    let Some(file) = args.positional() else {
-        return Err(Fail::Usage(
-            "converge requires a .jsonl trace file".to_string(),
-        ));
-    };
-    let data = load(Path::new(file))?;
-    let report = converge::analyze(&data, epsilon);
-    if json_format {
-        println!("{}", converge::render_json(&report, file));
-    } else {
-        println!("file: {file}");
-        print!("{}", converge::render_report(&report));
-    }
-    if let Some(svg_path) = svg_out {
-        write(&svg_path, converge::render_svg(&data))?;
-        if !json_format {
-            println!("wrote convergence SVG to {}", svg_path.display());
-        }
-    }
-    if report.restarts.is_empty() {
-        return Err(Fail::Runtime(format!(
-            "no anneal.epoch series in `{file}` — was the annealer run with \
-             telemetry enabled?"
-        )));
     }
     Ok(0)
 }
@@ -1046,9 +947,6 @@ fn run_dash(args: &Args) -> Result<i32, Fail> {
     }
     if let Some(path) = args.path("--trace") {
         sources.trace = Some((path.display().to_string(), read(&path)?));
-    }
-    if let Some(path) = args.path("--converge") {
-        sources.converge = Some((path.display().to_string(), read(&path)?));
     }
     sources.artifacts = scan("artifacts", &artifacts_dir, |name| name.ends_with(".txt"));
 
@@ -1395,55 +1293,48 @@ mod tests {
 
     #[test]
     fn converge_usage_errors_return_2() {
+        // The convergence analysis lives in `trace`: the command, its
+        // options and dash's flag are gone.
+        assert_eq!(run("converge", &["a.jsonl"]), 2);
+        assert_eq!(run("dash", &["--converge", "a.jsonl"]), 2);
         for bad in [
-            vec![],
-            vec!["--epsilon"],
-            vec!["a.jsonl", "--epsilon", "-1"],
-            vec!["a.jsonl", "--epsilon", "nan"],
-            vec!["a.jsonl", "--format", "xml"],
-            vec!["a.jsonl", "--svg"],
-            vec!["--compare", "a.jsonl"],
-            vec!["--compare", "a.jsonl", "--format"],
-            vec!["a.jsonl", "b.jsonl"],
-            vec!["--compare", "a.jsonl", "b.jsonl", "c.jsonl"],
-            vec!["--compare", "a.jsonl", "b.jsonl", "--svg", "out.svg"],
-            vec!["--frobnicate"],
+            vec!["a.jsonl", "--epsilon", "1"],
+            vec!["a.jsonl", "--compare"],
+            vec!["b.jsonl", "--compare", "a.jsonl", "--svg", "x.svg"],
+            vec!["b.jsonl", "--compare", "a.jsonl", "--mem"],
         ] {
-            assert_eq!(run("converge", &bad), 2, "{bad:?}");
+            assert_eq!(run("trace", &bad), 2, "{bad:?}");
         }
     }
 
     #[test]
     fn converge_missing_file_returns_1() {
-        assert_eq!(run("converge", &["/nonexistent/never_converge.jsonl"]), 1);
-        assert_eq!(
-            run(
-                "converge",
-                &["--compare", "/nonexistent/a.jsonl", "/nonexistent/b.jsonl"]
-            ),
-            1
-        );
+        let missing = "/nonexistent/never_converge.jsonl";
+        assert_eq!(run("trace", &[missing, "--compare", missing]), 1);
     }
 
     #[test]
     fn converge_trace_without_epochs_returns_1() {
-        let dir =
-            std::env::temp_dir().join(format!("tsv3d_cli_converge_empty_{}", std::process::id()));
+        // Without epochs a trace is still a span trace, but two that
+        // share no span name and no restart label compare nothing.
+        let dir = std::env::temp_dir().join(format!("tsv3d_cli_spans_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("spans_only.jsonl");
-        std::fs::write(
-            &path,
-            "{\"t\":1.0,\"event\":\"span\",\"name\":\"x\",\"seconds\":0.5}\n",
-        )
-        .unwrap();
-        assert_eq!(run("converge", &[path.to_str().unwrap()]), 1);
+        let (x, y) = (dir.join("x.jsonl"), dir.join("y.jsonl"));
+        for (path, name) in [(&x, "x"), (&y, "y")] {
+            let line = format!("{{\"t\":1.0,\"event\":\"span\",\"name\":\"{name}\",\
+                                \"seconds\":0.5}}");
+            std::fs::write(path, line).unwrap();
+        }
+        let (x, y) = (x.to_str().unwrap(), y.to_str().unwrap());
+        assert_eq!(run("trace", &[x]), 0);
+        assert_eq!(run("trace", &[x, "--compare", x]), 0);
+        assert_eq!(run("trace", &[y, "--compare", x]), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn converge_analyzes_and_compares_a_real_epoch_trace() {
-        let dir =
-            std::env::temp_dir().join(format!("tsv3d_cli_converge_ok_{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("tsv3d_cli_epochs_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("epochs.jsonl");
         let mut text = String::new();
@@ -1456,17 +1347,8 @@ mod tests {
         }
         std::fs::write(&path, &text).unwrap();
         let file = path.to_str().unwrap();
-        let svg_path = dir.join("converge.svg");
-        assert_eq!(
-            run("converge", &[file, "--svg", svg_path.to_str().unwrap()]),
-            0
-        );
-        let svg = std::fs::read_to_string(&svg_path).unwrap();
-        assert!(svg.starts_with("<?xml"), "{svg}");
-        assert_eq!(
-            run("converge", &["--compare", file, file, "--format", "json"]),
-            0
-        );
+        assert_eq!(run("trace", &[file]), 0);
+        assert_eq!(run("trace", &[file, "--compare", file, "--format", "json"]), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

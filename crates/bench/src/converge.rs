@@ -1,7 +1,8 @@
-//! Convergence analysis of annealing telemetry: turns the
-//! `anneal.epoch` event stream into per-restart descent tables,
-//! cross-restart dispersion diagnostics, a deterministic convergence
-//! SVG and a restart-by-restart comparison of two runs.
+//! Convergence analysis of annealing telemetry — the convergence
+//! sections of `tsv3d trace` and the panel of `tsv3d dash`: turns the
+//! `anneal.epoch` events into per-restart descent tables, cross-restart
+//! dispersion diagnostics, a deterministic convergence SVG and a
+//! restart-by-restart comparison of two runs.
 //!
 //! The optimizer emits one `anneal.epoch` event per restart roughly
 //! every `iterations/32` iterations (temperature, current/best power,
@@ -23,14 +24,14 @@
 //! input.
 
 use crate::svg::{document_open, fnv1a, xml_escape};
-use crate::json::{JsonValue, ObjectWriter};
+use crate::json::{self, JsonValue, ObjectWriter};
 use crate::trace::ParsedTrace;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Default ε of the iterations-to-convergence metric: within 1 % of
-/// the restart's final best energy (`tsv3d converge --epsilon`).
-pub const DEFAULT_EPSILON: f64 = 0.01;
+/// The ε of the iterations-to-convergence metric: within 1 % of the
+/// restart's final best energy.
+pub const EPSILON: f64 = 0.01;
 
 /// Two restarts' mean accept rates further apart than this (absolute)
 /// are flagged as diverged by `--compare`.
@@ -75,7 +76,7 @@ pub struct RestartSeries {
 }
 
 /// The calibration record (`anneal.calibrated`) of the run, if present.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Calibration {
     /// Initial annealing temperature.
     pub t_start: f64,
@@ -91,8 +92,8 @@ pub struct Calibration {
     pub threads: u64,
 }
 
-/// Optional run provenance pulled from `run.start` / `run.done` /
-/// `bench.case` events when the trace carries them.
+/// Optional run provenance pulled from `run.start` and `bench.case`
+/// events when the trace carries them.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunInfo {
     /// `binary` field of `run.start`.
@@ -102,8 +103,6 @@ pub struct RunInfo {
     /// `case` field of `bench.case` (traces written by
     /// `tsv3d bench --trace`).
     pub case: Option<String>,
-    /// `wall_seconds` field of `run.done`.
-    pub wall_seconds: Option<f64>,
 }
 
 /// Everything [`extract`] recovers from one parsed trace.
@@ -115,52 +114,20 @@ pub struct ConvergeData {
     pub calibration: Option<Calibration>,
     /// Run provenance, when the trace has it.
     pub run: RunInfo,
-    /// Non-blank lines in the file.
-    pub lines: usize,
-    /// Lines skipped as malformed.
-    pub skipped: usize,
-    /// Well-formed events whose name this analysis does not consume
-    /// (span events, other emitters' events) — skipped and
-    /// counted, never misattributed.
-    pub other_events: usize,
-}
-
-impl Default for Calibration {
-    fn default() -> Self {
-        Self {
-            t_start: 0.0,
-            t_end: 0.0,
-            probe_spread: 0.0,
-            iterations: 0,
-            restarts: 0,
-            threads: 0,
-        }
-    }
 }
 
 fn epoch_point(value: &JsonValue) -> Option<EpochPoint> {
-    let iteration = value.get("iteration").and_then(JsonValue::as_u64)?;
-    let best_power = value.get("best_power").and_then(JsonValue::as_f64)?;
-    if !best_power.is_finite() {
-        return None;
-    }
+    let f = |key| value.get(key).and_then(JsonValue::as_f64);
+    let u = |key| value.get(key).and_then(JsonValue::as_u64).unwrap_or(0);
+    let best_power = f("best_power").filter(|p| p.is_finite())?;
     Some(EpochPoint {
-        iteration,
-        temperature: value
-            .get("temperature")
-            .and_then(JsonValue::as_f64)
-            .unwrap_or(0.0),
-        current_power: value
-            .get("current_power")
-            .and_then(JsonValue::as_f64)
-            .unwrap_or(best_power),
+        iteration: value.get("iteration").and_then(JsonValue::as_u64)?,
+        temperature: f("temperature").unwrap_or(0.0),
+        current_power: f("current_power").unwrap_or(best_power),
         best_power,
-        accept_rate: value
-            .get("accept_rate")
-            .and_then(JsonValue::as_f64)
-            .unwrap_or(0.0),
-        swap_moves: value.get("swap_moves").and_then(JsonValue::as_u64).unwrap_or(0),
-        flip_moves: value.get("flip_moves").and_then(JsonValue::as_u64).unwrap_or(0),
+        accept_rate: f("accept_rate").unwrap_or(0.0),
+        swap_moves: u("swap_moves"),
+        flip_moves: u("flip_moves"),
     })
 }
 
@@ -173,11 +140,7 @@ fn epoch_point(value: &JsonValue) -> Option<EpochPoint> {
 /// events missing `iteration` or `best_power` are ignored.
 pub fn extract(trace: &ParsedTrace) -> ConvergeData {
     let mut raw: BTreeMap<String, (u64, Vec<EpochPoint>)> = BTreeMap::new();
-    let mut data = ConvergeData {
-        lines: trace.lines,
-        skipped: trace.skipped,
-        ..ConvergeData::default()
-    };
+    let mut data = ConvergeData::default();
     for event in &trace.events {
         match event.name.as_str() {
             "anneal.epoch" => {
@@ -199,17 +162,15 @@ pub fn extract(trace: &ParsedTrace) -> ConvergeData {
                 slot.1.push(point);
             }
             "anneal.calibrated" => {
-                let v = &event.value;
+                let f = |key| event.value.get(key).and_then(JsonValue::as_f64).unwrap_or(0.0);
+                let u = |key| event.value.get(key).and_then(JsonValue::as_u64).unwrap_or(0);
                 data.calibration = Some(Calibration {
-                    t_start: v.get("t_start").and_then(JsonValue::as_f64).unwrap_or(0.0),
-                    t_end: v.get("t_end").and_then(JsonValue::as_f64).unwrap_or(0.0),
-                    probe_spread: v
-                        .get("probe_spread")
-                        .and_then(JsonValue::as_f64)
-                        .unwrap_or(0.0),
-                    iterations: v.get("iterations").and_then(JsonValue::as_u64).unwrap_or(0),
-                    restarts: v.get("restarts").and_then(JsonValue::as_u64).unwrap_or(0),
-                    threads: v.get("threads").and_then(JsonValue::as_u64).unwrap_or(0),
+                    t_start: f("t_start"),
+                    t_end: f("t_end"),
+                    probe_spread: f("probe_spread"),
+                    iterations: u("iterations"),
+                    restarts: u("restarts"),
+                    threads: u("threads"),
                 });
             }
             "run.start" => {
@@ -218,46 +179,29 @@ pub fn extract(trace: &ParsedTrace) -> ConvergeData {
                 data.run.git_rev =
                     v.get("git_rev").and_then(JsonValue::as_str).map(String::from);
             }
-            "run.done" => {
-                data.run.wall_seconds =
-                    event.value.get("wall_seconds").and_then(JsonValue::as_f64);
-            }
             "bench.case" => {
                 data.run.case =
                     event.value.get("case").and_then(JsonValue::as_str).map(String::from);
             }
-            _ => data.other_events += 1,
+            _ => {}
         }
     }
-    for (label, (restart, points)) in raw {
+    for (label, (restart, mut epochs)) in raw {
         // A body measured N times re-emits the same epoch sequence N
         // times on one label; keep the first monotonic pass so the
-        // descent metrics describe one run, and report the rest.
-        let mut epochs: Vec<EpochPoint> = Vec::new();
-        let mut extra_passes = 0u64;
-        let mut in_first_pass = true;
-        for point in points {
-            let reset = epochs
-                .last()
-                .is_some_and(|last| point.iteration <= last.iteration);
-            if reset {
-                if in_first_pass {
-                    in_first_pass = false;
-                }
-                extra_passes += u64::from(
-                    epochs.last().map(|l| l.iteration).unwrap_or(0) >= point.iteration
-                        && point.iteration <= epochs.first().map(|f| f.iteration).unwrap_or(0),
-                );
-            }
-            if in_first_pass {
-                epochs.push(point);
-            }
-        }
+        // descent metrics describe one run, and count each later pass
+        // by its start at or below the first epoch's iteration.
+        let first_pass = (1..epochs.len())
+            .find(|&i| epochs[i].iteration <= epochs[i - 1].iteration)
+            .unwrap_or(epochs.len());
+        let first = epochs[0].iteration;
+        let extra_passes = epochs[first_pass..].iter().filter(|p| p.iteration <= first).count();
+        epochs.truncate(first_pass);
         data.series.push(RestartSeries {
             label,
             restart,
             epochs,
-            extra_passes,
+            extra_passes: extra_passes as u64,
         });
     }
     data.series
@@ -313,13 +257,11 @@ pub struct GlobalStats {
     pub global_best: f64,
     /// Label of the restart that produced it.
     pub best_label: String,
-    /// Lowest final energy (== `global_best`).
-    pub final_min: f64,
     /// Highest final energy across restarts.
     pub final_max: f64,
     /// Mean final energy.
     pub final_mean: f64,
-    /// `final_max − final_min` relative to `|global_best|` (percent) —
+    /// `final_max − global_best` relative to `|global_best|` (percent) —
     /// how much the restarts disagree.
     pub spread_pct: f64,
     /// Restarts that improved the running global best.
@@ -337,27 +279,27 @@ pub struct GlobalStats {
 pub struct ConvergeReport {
     /// Per-restart statistics, in restart order.
     pub restarts: Vec<RestartStats>,
-    /// Dispersion diagnostics; `None` when no restart had epochs.
-    pub global: Option<GlobalStats>,
-    /// The ε the convergence metrics used (relative).
-    pub epsilon: f64,
+    /// Dispersion diagnostics.
+    pub global: GlobalStats,
     /// Calibration record carried over from extraction.
     pub calibration: Option<Calibration>,
     /// Run provenance carried over from extraction.
     pub run: RunInfo,
-    /// Non-blank lines in the file.
-    pub lines: usize,
-    /// Lines skipped as malformed.
-    pub skipped: usize,
-    /// Well-formed events with names this analysis does not consume.
-    pub other_events: usize,
 }
 
-/// Analyses extracted series into the convergence report.
-///
-/// `epsilon` is relative: a restart has converged once its best energy
-/// is within `|final_best| · epsilon` of its final best.
-pub fn analyze(data: &ConvergeData, epsilon: f64) -> ConvergeReport {
+/// `num / den`, or 0 when `den` is not positive.
+fn ratio(num: f64, den: f64) -> f64 {
+    if den > 0.0 {
+        num / den
+    } else {
+        0.0
+    }
+}
+
+/// Analyses extracted series into the convergence report; `None` when
+/// no restart has epochs. A restart has converged once its best energy
+/// is within `|final_best| ·` [`EPSILON`] of its final best.
+pub fn analyze(data: &ConvergeData) -> Option<ConvergeReport> {
     let mut restarts: Vec<RestartStats> = Vec::new();
     let mut running_best = f64::INFINITY;
     for series in &data.series {
@@ -366,7 +308,7 @@ pub fn analyze(data: &ConvergeData, epsilon: f64) -> ConvergeReport {
         };
         let last = series.epochs.last().expect("non-empty series has a last");
         let final_best = last.best_power;
-        let threshold = final_best + final_best.abs() * epsilon;
+        let threshold = final_best + final_best.abs() * EPSILON;
         let iters_to_eps = series
             .epochs
             .iter()
@@ -385,11 +327,7 @@ pub fn analyze(data: &ConvergeData, epsilon: f64) -> ConvergeReport {
             iterations,
             start_best: first.best_power,
             final_best,
-            descent_pct: if first.best_power.abs() > 0.0 {
-                (first.best_power - final_best) / first.best_power.abs() * 100.0
-            } else {
-                0.0
-            },
+            descent_pct: ratio(first.best_power - final_best, first.best_power.abs()) * 100.0,
             first_accept: first.accept_rate,
             last_accept: last.accept_rate,
             mean_accept: accept_sum / series.epochs.len() as f64,
@@ -397,82 +335,46 @@ pub fn analyze(data: &ConvergeData, epsilon: f64) -> ConvergeReport {
             flip_moves: series.epochs.iter().map(|p| p.flip_moves).sum(),
             iters_to_eps,
             wasted_iters,
-            wasted_frac: if iterations > 0 {
-                wasted_iters as f64 / iterations as f64
-            } else {
-                0.0
-            },
+            wasted_frac: ratio(wasted_iters as f64, iterations as f64),
             improved_global,
         });
     }
-    let global = (!restarts.is_empty()).then(|| {
-        let best = restarts
-            .iter()
-            .min_by(|a, b| {
-                a.final_best
-                    .partial_cmp(&b.final_best)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .expect("non-empty restarts");
-        let final_min = best.final_best;
-        let final_max = restarts
-            .iter()
-            .map(|r| r.final_best)
-            .fold(f64::NEG_INFINITY, f64::max);
-        let final_mean =
-            restarts.iter().map(|r| r.final_best).sum::<f64>() / restarts.len() as f64;
-        let total_iterations: u64 = restarts.iter().map(|r| r.iterations).sum();
-        let wasted_iterations: u64 = restarts.iter().map(|r| r.wasted_iters).sum();
-        GlobalStats {
-            global_best: final_min,
-            best_label: best.label.clone(),
-            final_min,
-            final_max,
-            final_mean,
-            spread_pct: if final_min.abs() > 0.0 {
-                (final_max - final_min) / final_min.abs() * 100.0
-            } else {
-                0.0
-            },
-            improving_restarts: restarts.iter().filter(|r| r.improved_global).count() as u64,
-            total_iterations,
-            wasted_iterations,
-            wasted_frac: if total_iterations > 0 {
-                wasted_iterations as f64 / total_iterations as f64
-            } else {
-                0.0
-            },
-        }
-    });
-    ConvergeReport {
+    let best = restarts
+        .iter()
+        .min_by(|a, b| a.final_best.total_cmp(&b.final_best))?;
+    let global_best = best.final_best;
+    let final_max = restarts
+        .iter()
+        .map(|r| r.final_best)
+        .fold(f64::NEG_INFINITY, f64::max);
+    let final_mean =
+        restarts.iter().map(|r| r.final_best).sum::<f64>() / restarts.len() as f64;
+    let total_iterations: u64 = restarts.iter().map(|r| r.iterations).sum();
+    let wasted_iterations: u64 = restarts.iter().map(|r| r.wasted_iters).sum();
+    let global = GlobalStats {
+        global_best,
+        best_label: best.label.clone(),
+        final_max,
+        final_mean,
+        spread_pct: ratio(final_max - global_best, global_best.abs()) * 100.0,
+        improving_restarts: restarts.iter().filter(|r| r.improved_global).count() as u64,
+        total_iterations,
+        wasted_iterations,
+        wasted_frac: ratio(wasted_iterations as f64, total_iterations as f64),
+    };
+    Some(ConvergeReport {
         restarts,
         global,
-        epsilon,
         calibration: data.calibration,
         run: data.run.clone(),
-        lines: data.lines,
-        skipped: data.skipped,
-        other_events: data.other_events,
-    }
+    })
 }
 
-/// Renders the human-readable single-trace report.
+/// Renders the convergence section `tsv3d trace` appends to its
+/// report.
 pub fn render_report(report: &ConvergeReport) -> String {
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "converge: {} restart series on {} line(s), {} skipped",
-        report.restarts.len(),
-        report.lines,
-        report.skipped
-    );
-    if report.other_events > 0 {
-        let _ = writeln!(
-            out,
-            "ignored: {} event(s) with names this analysis does not consume",
-            report.other_events
-        );
-    }
+    let _ = writeln!(out, "convergence: {} restart series", report.restarts.len());
     if let Some(case) = &report.run.case {
         let _ = writeln!(out, "case: {case}");
     }
@@ -490,14 +392,6 @@ pub fn render_report(report: &ConvergeReport) -> String {
             cal.t_start, cal.t_end, cal.iterations, cal.restarts, cal.threads
         );
     }
-    if report.restarts.is_empty() {
-        let _ = writeln!(
-            out,
-            "no anneal.epoch events — run the annealer with TSV3D_TELEMETRY=json \
-             or `tsv3d bench --trace` to record a convergence trace"
-        );
-        return out;
-    }
     let _ = writeln!(
         out,
         "\n{:<8} {:>7} {:>14} {:>14} {:>9} {:>14} {:>9} {:>8} {:>8} {:>7}",
@@ -513,12 +407,7 @@ pub fn render_report(report: &ConvergeReport) -> String {
         "mix s/f"
     );
     for r in &report.restarts {
-        let moves = r.swap_moves + r.flip_moves;
-        let swap_pct = if moves > 0 {
-            r.swap_moves as f64 / moves as f64 * 100.0
-        } else {
-            0.0
-        };
+        let swap_pct = ratio(r.swap_moves as f64, (r.swap_moves + r.flip_moves) as f64) * 100.0;
         let _ = writeln!(
             out,
             "{:<8} {:>7} {:>14.6e} {:>14.6e} {:>8.2}% {:>14} {:>8.1}% {:>8.3} {:>8.3} {:>6.0}%{}",
@@ -539,30 +428,29 @@ pub fn render_report(report: &ConvergeReport) -> String {
             }
         );
     }
-    if let Some(g) = &report.global {
-        let _ = writeln!(
-            out,
-            "\nglobal best {:.6e} from {} (epsilon {:.2}% of final best)",
-            g.global_best,
-            g.best_label,
-            report.epsilon * 100.0
-        );
-        let _ = writeln!(
-            out,
-            "final energies: min {:.6e}  mean {:.6e}  max {:.6e}  spread {:.2}%",
-            g.final_min, g.final_mean, g.final_max, g.spread_pct
-        );
-        let _ = writeln!(
-            out,
-            "{} of {} restart(s) improved the global best; {} of {} iterations \
-             ({:.1}%) spent after convergence to epsilon",
-            g.improving_restarts,
-            report.restarts.len(),
-            g.wasted_iterations,
-            g.total_iterations,
-            g.wasted_frac * 100.0
-        );
-    }
+    let g = &report.global;
+    let _ = writeln!(
+        out,
+        "\nglobal best {:.6e} from {} (epsilon {:.2}% of final best)",
+        g.global_best,
+        g.best_label,
+        EPSILON * 100.0
+    );
+    let _ = writeln!(
+        out,
+        "final energies: min {:.6e}  mean {:.6e}  max {:.6e}  spread {:.2}%",
+        g.global_best, g.final_mean, g.final_max, g.spread_pct
+    );
+    let _ = writeln!(
+        out,
+        "{} of {} restart(s) improved the global best; {} of {} iterations \
+         ({:.1}%) spent after convergence to epsilon",
+        g.improving_restarts,
+        report.restarts.len(),
+        g.wasted_iterations,
+        g.total_iterations,
+        g.wasted_frac * 100.0
+    );
     out
 }
 
@@ -584,10 +472,7 @@ fn restart_json(r: &RestartStats) -> String {
         .u64("iters_to_eps", r.iters_to_eps)
         .u64("wasted_iters", r.wasted_iters)
         .f64("wasted_frac", r.wasted_frac)
-        .raw(
-            "improved_global",
-            if r.improved_global { "true" } else { "false" },
-        );
+        .bool("improved_global", r.improved_global);
     w.finish()
 }
 
@@ -595,7 +480,6 @@ fn global_json(g: &GlobalStats) -> String {
     let mut w = ObjectWriter::new();
     w.f64("global_best", g.global_best)
         .str("best_label", &g.best_label)
-        .f64("final_min", g.final_min)
         .f64("final_mean", g.final_mean)
         .f64("final_max", g.final_max)
         .f64("spread_pct", g.spread_pct)
@@ -606,13 +490,11 @@ fn global_json(g: &GlobalStats) -> String {
     w.finish()
 }
 
-fn report_body_json(report: &ConvergeReport, file: &str) -> String {
+/// Renders the `converge` member of `tsv3d trace --format json`
+/// (schema `tsv3d-trace/v2`).
+pub fn render_json(report: &ConvergeReport) -> String {
     let restarts: Vec<String> = report.restarts.iter().map(restart_json).collect();
     let mut w = ObjectWriter::new();
-    w.str("file", file)
-        .u64("lines", report.lines as u64)
-        .u64("skipped", report.skipped as u64)
-        .u64("other_events", report.other_events as u64);
     if let Some(cal) = &report.calibration {
         let mut c = ObjectWriter::new();
         c.f64("t_start", cal.t_start)
@@ -625,22 +507,8 @@ fn report_body_json(report: &ConvergeReport, file: &str) -> String {
     } else {
         w.raw("calibration", "null");
     }
-    w.raw("restarts", &format!("[{}]", restarts.join(",")));
-    match &report.global {
-        Some(g) => w.raw("global", &global_json(g)),
-        None => w.raw("global", "null"),
-    };
-    w.finish()
-}
-
-/// Renders the machine-readable single-trace report
-/// (`tsv3d converge --format json`, schema `tsv3d-converge/v1`).
-pub fn render_json(report: &ConvergeReport, file: &str) -> String {
-    let mut w = ObjectWriter::new();
-    w.str("schema", "tsv3d-converge/v1")
-        .str("mode", "single")
-        .f64("epsilon", report.epsilon)
-        .raw("report", &report_body_json(report, file));
+    w.raw("restarts", &format!("[{}]", restarts.join(",")))
+        .raw("global", &global_json(&report.global));
     w.finish()
 }
 
@@ -688,10 +556,9 @@ impl CompareReport {
 ///   [`ACCEPT_DIVERGENCE`] (absolute);
 /// * `descent-speed` — iterations-to-ε differ by more than
 ///   [`DESCENT_DIVERGENCE`] of the larger;
-/// * `final-energy` — final best energies differ by more than ε
-///   relative to `a`'s.
+/// * `final-energy` — final best energies differ by more than
+///   [`EPSILON`] relative to `a`'s.
 pub fn compare(a: ConvergeReport, b: ConvergeReport) -> CompareReport {
-    let epsilon = a.epsilon;
     let mut pairs = Vec::new();
     let mut only_a = Vec::new();
     let mut only_b: Vec<String> = b
@@ -717,7 +584,7 @@ pub fn compare(a: ConvergeReport, b: ConvergeReport) -> CompareReport {
         }
         let denom = ra.final_best.abs().max(f64::MIN_POSITIVE);
         let final_delta_pct = (rb.final_best - ra.final_best) / denom * 100.0;
-        if (final_delta_pct / 100.0).abs() > epsilon {
+        if (final_delta_pct / 100.0).abs() > EPSILON {
             flags.push("final-energy");
         }
         pairs.push(ComparePair {
@@ -737,21 +604,14 @@ pub fn compare(a: ConvergeReport, b: ConvergeReport) -> CompareReport {
     }
 }
 
-/// Renders the human-readable comparison (`tsv3d converge --compare`).
-pub fn render_compare(report: &CompareReport, file_a: &str, file_b: &str) -> String {
+/// Renders the convergence section of `tsv3d trace --compare`.
+pub fn render_compare(report: &CompareReport) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "converge compare:");
     let _ = writeln!(
         out,
-        "  a: {file_a} ({} restart series, {} skipped line(s))",
+        "convergence: {} restart series in a, {} in b",
         report.a.restarts.len(),
-        report.a.skipped
-    );
-    let _ = writeln!(
-        out,
-        "  b: {file_b} ({} restart series, {} skipped line(s))",
-        report.b.restarts.len(),
-        report.b.skipped
+        report.b.restarts.len()
     );
     if report.pairs.is_empty() {
         let _ = writeln!(out, "no matching restart labels between the two traces");
@@ -793,18 +653,17 @@ pub fn render_compare(report: &CompareReport, file_a: &str, file_b: &str) -> Str
             report.pairs.len(),
             ACCEPT_DIVERGENCE,
             DESCENT_DIVERGENCE * 100.0,
-            report.a.epsilon * 100.0
+            EPSILON * 100.0
         );
-        if let (Some(ga), Some(gb)) = (&report.a.global, &report.b.global) {
-            let _ = writeln!(
-                out,
-                "wasted iterations: a {:.1}%  b {:.1}%; global best: a {:.6e}  b {:.6e}",
-                ga.wasted_frac * 100.0,
-                gb.wasted_frac * 100.0,
-                ga.global_best,
-                gb.global_best
-            );
-        }
+        let (ga, gb) = (&report.a.global, &report.b.global);
+        let _ = writeln!(
+            out,
+            "wasted iterations: a {:.1}%  b {:.1}%; global best: a {:.6e}  b {:.6e}",
+            ga.wasted_frac * 100.0,
+            gb.wasted_frac * 100.0,
+            ga.global_best,
+            gb.global_best
+        );
     }
     for (tag, labels) in [("a", &report.only_a), ("b", &report.only_b)] {
         if !labels.is_empty() {
@@ -814,51 +673,26 @@ pub fn render_compare(report: &CompareReport, file_a: &str, file_b: &str) -> Str
     out
 }
 
-/// Renders the machine-readable comparison
-/// (`tsv3d converge --compare --format json`, schema
-/// `tsv3d-converge/v1`, `mode: "compare"`).
-pub fn render_compare_json(report: &CompareReport, file_a: &str, file_b: &str) -> String {
+/// Renders the `converge` member of `tsv3d trace --compare --format
+/// json`.
+pub fn render_compare_json(report: &CompareReport) -> String {
     let pairs: Vec<String> = report
         .pairs
         .iter()
         .map(|p| {
-            let flags: Vec<String> =
-                p.flags.iter().map(|f| format!("\"{f}\"")).collect();
             let mut w = ObjectWriter::new();
             w.str("label", &p.label)
                 .f64("final_delta_pct", p.final_delta_pct)
-                .raw(
-                    "diverged",
-                    if p.flags.is_empty() { "false" } else { "true" },
-                )
-                .raw("flags", &format!("[{}]", flags.join(",")))
-                .raw("a", &restart_json(&p.a))
-                .raw("b", &restart_json(&p.b));
+                .bool("diverged", !p.flags.is_empty())
+                .raw("flags", &json::array_of_strs(&p.flags));
             w.finish()
         })
         .collect();
-    let strings =
-        |labels: &[String]| -> String {
-            let quoted: Vec<String> = labels
-                .iter()
-                .map(|l| {
-                    let mut s = String::new();
-                    tsv3d_telemetry::push_json_str(&mut s, l);
-                    s
-                })
-                .collect();
-            format!("[{}]", quoted.join(","))
-        };
     let mut w = ObjectWriter::new();
-    w.str("schema", "tsv3d-converge/v1")
-        .str("mode", "compare")
-        .f64("epsilon", report.a.epsilon)
-        .u64("diverged", report.diverged() as u64)
+    w.u64("diverged", report.diverged() as u64)
         .raw("pairs", &format!("[{}]", pairs.join(",")))
-        .raw("only_a", &strings(&report.only_a))
-        .raw("only_b", &strings(&report.only_b))
-        .raw("a", &report_body_json(&report.a, file_a))
-        .raw("b", &report_body_json(&report.b, file_b));
+        .raw("only_a", &json::array_of_strs(&report.only_a))
+        .raw("only_b", &json::array_of_strs(&report.only_b));
     w.finish()
 }
 
@@ -1030,6 +864,11 @@ mod tests {
         )
     }
 
+    /// The report of a trace that holds epoch series.
+    fn report_of(text: &str) -> ConvergeReport {
+        analyze(&extract(&parse_jsonl(text))).expect("epoch series")
+    }
+
     /// Two restarts: r0 converges fast (within eps by iteration 20),
     /// r1 keeps descending to a worse final energy.
     fn two_restart_trace() -> String {
@@ -1072,9 +911,9 @@ mod tests {
         text.push_str("not json\n");
         text.push_str("{\"t\":1.0,\"event\":\"anneal.epoch\"}\n"); // no fields
         text.push_str("{\"t\":1.0,\"event\":\"anneal.epoch\",\"iteration\":5}\n"); // no best
-        let data = extract(&parse_jsonl(&text));
-        assert_eq!(data.skipped, 1, "only the non-JSON line is a parse skip");
-        assert_eq!(data.series.len(), 2, "field-less epochs are ignored");
+        let trace = parse_jsonl(&text);
+        assert_eq!(trace.skipped, 1, "only the non-JSON line is a parse skip");
+        assert_eq!(extract(&trace).series.len(), 2, "field-less epochs are ignored");
     }
 
     #[test]
@@ -1095,11 +934,11 @@ mod tests {
             "{\"t\":0.9,\"event\":\"pulse.progress\",\"restart\":0,\"iters_done\":40}\n",
         );
 
-        let clean_report = analyze(&extract(&parse_jsonl(&clean)), 0.01);
-        let mixed_report = analyze(&extract(&parse_jsonl(&mixed)), 0.01);
-        assert_eq!(clean_report.other_events, 0);
-        assert_eq!(mixed_report.other_events, 10, "9 samples + 1 progress");
-        assert_eq!(mixed_report.skipped, 0, "unknown names are not malformed");
+        let mixed_trace = crate::trace::analyze_text(&mixed);
+        assert_eq!(mixed_trace.event_counts["pulse.sample"], 9);
+        assert_eq!(mixed_trace.skipped, 0, "unknown names are not malformed");
+        let clean_report = report_of(&clean);
+        let mixed_report = analyze(&mixed_trace.converge).expect("epoch series");
 
         // The descent analysis itself is byte-identical.
         assert_eq!(
@@ -1111,14 +950,7 @@ mod tests {
             format!("{:?}", clean_report.global)
         );
         assert_eq!(mixed_report.calibration, clean_report.calibration);
-
-        // And the report says what it ignored.
-        let text = render_report(&mixed_report);
-        assert!(
-            text.contains("ignored: 10 event(s)"),
-            "{text}"
-        );
-        assert!(!render_report(&clean_report).contains("ignored:"));
+        assert_eq!(render_report(&mixed_report), render_report(&clean_report));
     }
 
     #[test]
@@ -1143,13 +975,13 @@ mod tests {
         assert_eq!(data.series.len(), 1);
         assert_eq!(data.series[0].epochs.len(), 2, "first pass only");
         assert_eq!(data.series[0].extra_passes, 2);
-        let report = analyze(&data, DEFAULT_EPSILON);
+        let report = analyze(&data).expect("epoch series");
         assert_eq!(report.restarts[0].iterations, 20);
     }
 
     #[test]
     fn analyze_computes_descent_and_wasted_iterations() {
-        let report = analyze(&extract(&parse_jsonl(&two_restart_trace())), DEFAULT_EPSILON);
+        let report = report_of(&two_restart_trace());
         assert_eq!(report.restarts.len(), 2);
         let r0 = &report.restarts[0];
         // r0: final best 50.0, eps 1% → threshold 50.5; first epoch
@@ -1172,8 +1004,8 @@ mod tests {
 
     #[test]
     fn global_stats_track_improvement_and_spread() {
-        let report = analyze(&extract(&parse_jsonl(&two_restart_trace())), DEFAULT_EPSILON);
-        let g = report.global.as_ref().expect("two series analysed");
+        let report = report_of(&two_restart_trace());
+        let g = &report.global;
         assert_eq!(g.best_label, "r0");
         assert!((g.global_best - 50.0).abs() < 1e-12);
         // r0 improves (trivially), r1's 60.0 never beats 50.0.
@@ -1187,10 +1019,7 @@ mod tests {
 
     #[test]
     fn empty_trace_yields_an_empty_report_not_a_panic() {
-        let report = analyze(&extract(&parse_jsonl("")), DEFAULT_EPSILON);
-        assert!(report.restarts.is_empty());
-        assert!(report.global.is_none());
-        assert!(render_report(&report).contains("no anneal.epoch events"));
+        assert!(analyze(&extract(&parse_jsonl(""))).is_none());
         let svg = render_svg(&extract(&parse_jsonl("")));
         assert!(svg.contains("no anneal.epoch events"), "{svg}");
         assert!(svg.trim_end().ends_with("</svg>"));
@@ -1198,7 +1027,7 @@ mod tests {
 
     #[test]
     fn text_report_shows_the_diagnosis_numbers() {
-        let report = analyze(&extract(&parse_jsonl(&two_restart_trace())), DEFAULT_EPSILON);
+        let report = report_of(&two_restart_trace());
         let text = render_report(&report);
         assert!(text.contains("2 restart series"), "{text}");
         assert!(text.contains("r0"), "{text}");
@@ -1210,15 +1039,14 @@ mod tests {
 
     #[test]
     fn json_report_is_valid_and_schema_stamped() {
-        let report = analyze(&extract(&parse_jsonl(&two_restart_trace())), DEFAULT_EPSILON);
-        let doc = json::parse(&render_json(&report, "x.jsonl")).expect("valid JSON");
+        let summary = crate::trace::analyze_text(&two_restart_trace());
+        let doc = json::parse(&crate::trace::render_json(&summary)).expect("valid JSON");
         assert_eq!(
             doc.get("schema").and_then(JsonValue::as_str),
-            Some("tsv3d-converge/v1")
+            Some("tsv3d-trace/v2")
         );
         assert_eq!(doc.get("mode").and_then(JsonValue::as_str), Some("single"));
-        let body = doc.get("report").expect("report body");
-        assert_eq!(body.get("file").and_then(JsonValue::as_str), Some("x.jsonl"));
+        let body = doc.get("converge").expect("converge member");
         let restarts = body.get("restarts").and_then(JsonValue::as_array).unwrap();
         assert_eq!(restarts.len(), 2);
         assert_eq!(
@@ -1243,7 +1071,7 @@ mod tests {
 
     #[test]
     fn compare_flags_divergent_restarts_and_matches_by_label() {
-        let a = analyze(&extract(&parse_jsonl(&two_restart_trace())), DEFAULT_EPSILON);
+        let a = report_of(&two_restart_trace());
         // b: r0 identical; r1 descends much faster to a better energy
         // with hotter acceptance; r2 exists only in b.
         let mut text = String::new();
@@ -1258,7 +1086,7 @@ mod tests {
             text.push_str(&epoch_line(0.2, 1, iteration, best, accept, "r1"));
         }
         text.push_str(&epoch_line(0.3, 2, 40, 70.0, 0.5, "r2"));
-        let b = analyze(&extract(&parse_jsonl(&text)), DEFAULT_EPSILON);
+        let b = report_of(&text);
         let cmp = compare(a, b);
         assert_eq!(cmp.pairs.len(), 2);
         assert!(cmp.pairs[0].flags.is_empty(), "{:?}", cmp.pairs[0].flags);
@@ -1269,34 +1097,34 @@ mod tests {
         assert_eq!(cmp.diverged(), 1);
         assert_eq!(cmp.only_b, vec!["r2".to_string()]);
         assert!(cmp.only_a.is_empty());
-        let text = render_compare(&cmp, "a.jsonl", "b.jsonl");
+        let text = render_compare(&cmp);
         assert!(text.contains("1 of 2 matched restart(s) diverged"), "{text}");
         assert!(text.contains("only in b: r2"), "{text}");
     }
 
     #[test]
     fn compare_json_is_valid_and_mode_stamped() {
-        let a = analyze(&extract(&parse_jsonl(&two_restart_trace())), DEFAULT_EPSILON);
-        let b = analyze(&extract(&parse_jsonl(&two_restart_trace())), DEFAULT_EPSILON);
-        let cmp = compare(a, b);
-        let doc =
-            json::parse(&render_compare_json(&cmp, "a.jsonl", "b.jsonl")).expect("valid JSON");
+        let summary = crate::trace::analyze_text(&two_restart_trace());
+        let cmp = crate::trace::compare(&summary, &summary);
+        let doc = json::parse(&crate::trace::render_compare_json(&cmp, "a.jsonl", "b.jsonl"))
+            .expect("valid JSON");
         assert_eq!(
             doc.get("schema").and_then(JsonValue::as_str),
-            Some("tsv3d-converge/v1")
+            Some("tsv3d-trace/v2")
         );
         assert_eq!(doc.get("mode").and_then(JsonValue::as_str), Some("compare"));
+        let doc = doc.get("converge").expect("converge member");
         assert_eq!(doc.get("diverged").and_then(JsonValue::as_u64), Some(0));
         let pairs = doc.get("pairs").and_then(JsonValue::as_array).unwrap();
         assert_eq!(pairs.len(), 2);
         assert_eq!(pairs[0].get("diverged"), Some(&JsonValue::Bool(false)));
-        assert!(doc.get("a").and_then(|a| a.get("global")).is_some());
+        assert_eq!(doc.get("only_a").and_then(JsonValue::as_array), Some(&[][..]));
     }
 
     #[test]
     fn identical_traces_compare_clean() {
-        let a = analyze(&extract(&parse_jsonl(&two_restart_trace())), DEFAULT_EPSILON);
-        let b = analyze(&extract(&parse_jsonl(&two_restart_trace())), DEFAULT_EPSILON);
+        let a = report_of(&two_restart_trace());
+        let b = report_of(&two_restart_trace());
         let cmp = compare(a, b);
         assert_eq!(cmp.diverged(), 0);
         for p in &cmp.pairs {
@@ -1346,7 +1174,7 @@ mod tests {
         let svg = render_svg(&data);
         assert!(svg.contains("<polyline"), "{svg}");
         assert!(!svg.contains("NaN"), "{svg}");
-        let report = analyze(&data, DEFAULT_EPSILON);
+        let report = analyze(&data).expect("epoch series");
         assert_eq!(report.restarts[0].iters_to_eps, 10);
         assert_eq!(report.restarts[0].wasted_iters, 0);
     }

@@ -44,11 +44,9 @@ pub struct DashSources {
     /// `(path label, text)` of the history ledger, when readable.
     pub history: Option<(String, String)>,
     /// `(path label, text)` of a telemetry JSONL trace for the
-    /// flamegraph section.
-    pub trace: Option<(String, String)>,
-    /// `(path label, text)` of an `anneal.epoch` JSONL trace for the
+    /// flamegraph section and, when it holds `anneal.epoch` events, the
     /// convergence section.
-    pub converge: Option<(String, String)>,
+    pub trace: Option<(String, String)>,
     /// `(filename, text)` of committed experiment `.txt` artifacts,
     /// sorted by filename.
     pub artifacts: Vec<(String, String)>,
@@ -180,7 +178,7 @@ pub struct DashData {
     pub verdicts: Vec<CaseVerdicts>,
     /// Flamegraph section, when a trace was supplied.
     pub flamegraph: Option<Section>,
-    /// Convergence section, when an epoch trace was supplied.
+    /// Convergence section, when the trace holds epoch series.
     pub converge: Option<Section>,
     /// The built-in attribution heatmap (always present — it is a pure
     /// function of a fixed reference spec).
@@ -271,32 +269,23 @@ pub fn build(sources: &DashSources, opts: &DashOptions) -> DashData {
     let trends = history::analyze(&ledger, opts.window);
     let verdicts = analytics::detect(&ledger, opts.detect_pct);
 
-    let flame = sources.trace.as_ref().map(|(path, text)| {
+    let (mut flame, mut conv) = (None, None);
+    if let Some((path, text)) = &sources.trace {
         let summary = trace::analyze_text(text);
-        Section {
+        let (lines, skipped) = (summary.lines, summary.skipped);
+        let section = |svg: String, count: String| Section {
             source: path.clone(),
-            svg: inline_svg(&flamegraph::render_svg(&summary, flamegraph::Weighting::Time)),
-            note: format!(
-                "{} span name(s), {} line(s), {} skipped",
-                summary.spans.len(),
-                summary.lines,
-                summary.skipped
-            ),
+            svg: inline_svg(&svg),
+            note: format!("{count}, {lines} line(s), {skipped} skipped"),
+        };
+        let flame_svg = flamegraph::render_svg(&summary, flamegraph::Weighting::Time);
+        flame = Some(section(flame_svg, format!("{} span name(s)", summary.spans.len())));
+        let series = summary.converge.series.len();
+        if series > 0 {
+            let svg = converge::render_svg(&summary.converge);
+            conv = Some(section(svg, format!("{series} restart(s)")));
         }
-    });
-    let conv = sources.converge.as_ref().map(|(path, text)| {
-        let data = converge::extract(&trace::parse_jsonl(text));
-        Section {
-            source: path.clone(),
-            svg: inline_svg(&converge::render_svg(&data)),
-            note: format!(
-                "{} restart(s), {} line(s), {} skipped",
-                data.series.len(),
-                data.lines,
-                data.skipped
-            ),
-        }
-    });
+    }
 
     let artifacts = sources
         .artifacts
@@ -616,15 +605,9 @@ pub fn render_json(data: &DashData) -> String {
     let detect_docs: Vec<String> = data.verdicts.iter().map(analytics::case_json).collect();
     let sections = {
         let mut w = ObjectWriter::new();
-        w.raw(
-            "flamegraph",
-            if data.flamegraph.is_some() { "true" } else { "false" },
-        )
-        .raw(
-            "converge",
-            if data.converge.is_some() { "true" } else { "false" },
-        )
-        .raw("heatmap", "true")
+        w.bool("flamegraph", data.flamegraph.is_some())
+            .bool("converge", data.converge.is_some())
+            .raw("heatmap", "true")
         .u64("artifacts", data.artifacts.len() as u64);
         w.finish()
     };
@@ -702,7 +685,6 @@ mod tests {
             ],
             history: Some(("results/history.jsonl".to_string(), ledger_text())),
             trace: None,
-            converge: None,
             artifacts: vec![(
                 "fig3_gaussian.txt".to_string(),
                 "Figure 3 sweep\ndata...\n".to_string(),
@@ -801,16 +783,16 @@ mod tests {
     #[test]
     fn trace_and_converge_sections_render_when_supplied() {
         let mut src = sources();
+        let spans = "{\"t\":1.0,\"event\":\"span\",\"name\":\"outer\",\"seconds\":1.0}\n";
+        src.trace = Some(("run.jsonl".to_string(), spans.to_string()));
+        let data = build(&src, &DashOptions::default());
+        assert!(data.flamegraph.is_some() && data.converge.is_none(), "no epochs, no plot");
         src.trace = Some((
             "run.jsonl".to_string(),
-            "{\"t\":1.0,\"event\":\"span\",\"name\":\"outer\",\"seconds\":1.0}\n".to_string(),
-        ));
-        src.converge = Some((
-            "run.jsonl".to_string(),
-            "{\"t\":0.1,\"event\":\"anneal.epoch\",\"restart\":0,\"iteration\":100,\
-             \"temperature\":1.0,\"current_power\":2.0,\"best_power\":1.5,\
-             \"accept_rate\":0.5,\"swap_moves\":10,\"flip_moves\":10}\n"
-                .to_string(),
+            spans.to_string()
+                + "{\"t\":0.1,\"event\":\"anneal.epoch\",\"restart\":0,\"iteration\":100,\
+                   \"temperature\":1.0,\"current_power\":2.0,\"best_power\":1.5,\
+                   \"accept_rate\":0.5,\"swap_moves\":10,\"flip_moves\":10}\n",
         ));
         let data = build(&src, &DashOptions::default());
         let html = render_html(&data);

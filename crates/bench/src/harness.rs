@@ -169,7 +169,7 @@ pub fn measure(
 /// [`measure`] with a caller-supplied handle for the timed loop — the
 /// hook behind `tsv3d bench --trace`, which routes the loop's events
 /// (the annealer's `anneal.epoch` stream, spans, …) into a shared
-/// JSON-lines sink for `tsv3d converge`. Warmup always runs on a
+/// JSON-lines sink for `tsv3d trace`. Warmup always runs on a
 /// private null-sink handle so the recorded trace covers exactly the
 /// timed iterations; the counters snapshot is taken from `tel` after
 /// the loop, so pass a fresh handle unless accumulation is intended.

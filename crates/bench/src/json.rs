@@ -419,6 +419,11 @@ impl ObjectWriter {
         self
     }
 
+    /// Adds a boolean field.
+    pub fn bool(&mut self, key: &str, value: bool) -> &mut Self {
+        self.raw(key, if value { "true" } else { "false" })
+    }
+
     /// Adds an already-serialised JSON fragment (object, array, …).
     pub fn raw(&mut self, key: &str, json: &str) -> &mut Self {
         self.key(key);
@@ -440,6 +445,18 @@ pub fn object_of_u64s<'a>(entries: impl Iterator<Item = (&'a str, u64)>) -> Stri
         w.u64(key, value);
     }
     w.finish()
+}
+
+/// Serialises strings as a JSON array of strings.
+pub fn array_of_strs(items: &[impl AsRef<str>]) -> String {
+    let mut out = String::from("[");
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_json_str(&mut out, item.as_ref());
+    }
+    out + "]"
 }
 
 #[cfg(test)]

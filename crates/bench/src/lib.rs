@@ -15,9 +15,10 @@
 //!   the git revision, a timestamp, `--threads` and the core count.
 //! * [`trace`] — a robust reader/aggregator for the `*_telemetry.jsonl`
 //!   streams the [`tsv3d_telemetry`] `JsonLinesSink` writes: per-span
-//!   rollups (count, total/self time, log2-histogram percentiles) and
-//!   a flamegraph-style collapsed-stack export, reconstructing span
-//!   nesting from interval containment.
+//!   rollups (count, total/self time, log2-histogram percentiles), a
+//!   flamegraph-style collapsed-stack export reconstructing span
+//!   nesting from interval containment, and `tsv3d trace --compare`,
+//!   the one run-to-run diff of span self time per call.
 //! * [`history`] — the cross-run ledger (`results/history.jsonl`,
 //!   schema `tsv3d-history/v1`): every bench invocation and experiment
 //!   run appends a compact summary row, and `tsv3d history` renders
@@ -26,9 +27,9 @@
 //!   from the collapsed-stack output (`tsv3d trace --svg`), time- or
 //!   bytes-weighted.
 //! * [`converge`] — convergence analysis of the annealer's
-//!   `anneal.epoch` stream (`tsv3d converge`): per-restart descent
-//!   tables, cross-restart dispersion diagnostics, a deterministic
-//!   convergence SVG and a restart-by-restart `--compare` of two runs.
+//!   `anneal.epoch` stream, the convergence sections of `tsv3d trace`:
+//!   per-restart descent tables, cross-restart dispersion diagnostics,
+//!   a deterministic convergence SVG and a restart-by-restart diff.
 //! * [`explain`] — per-TSV power attribution (`tsv3d explain`): ranked
 //!   contribution tables from [`tsv3d_core::attribution`], array
 //!   heatmap SVGs, and assignment `--compare` diff reports showing

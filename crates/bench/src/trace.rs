@@ -1,5 +1,7 @@
-//! Telemetry trace analysis: turns the PR-1 `*.jsonl` event streams
-//! into per-span rollups and a flamegraph-style collapsed-stack export.
+//! Telemetry trace analysis (`tsv3d trace`): turns the `*.jsonl` event
+//! streams into per-span rollups, a flamegraph-style collapsed-stack
+//! export and, for the annealer's `anneal.epoch` events, the
+//! [`converge`] tables; and compares two traces.
 //!
 //! The JSONL format is one object per line, e.g.
 //! `{"t":1.5,"event":"span","name":"core.anneal","seconds":0.2}` —
@@ -20,7 +22,8 @@
 //! *skip and count* — an analysis pass over a partially-written trace
 //! must never panic.
 
-use crate::json::{self, JsonValue};
+use crate::converge::{self, ConvergeData};
+use crate::json::{self, JsonValue, ObjectWriter};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use tsv3d_telemetry::Histogram;
@@ -145,6 +148,8 @@ pub struct TraceSummary {
     /// `true` when at least one span event carried an `alloc_bytes`
     /// field — the switch for memory columns and `--mem` ranking.
     pub has_alloc: bool,
+    /// The `anneal.epoch` series, calibration and run provenance.
+    pub converge: ConvergeData,
 }
 
 struct SpanInterval {
@@ -241,24 +246,17 @@ pub fn analyze(trace: &ParsedTrace) -> TraceSummary {
         }
     }
 
-    // Per-name rollups and per-path self-time/self-bytes accumulation.
+    // Per-name rollups (the duration histogram also holds each name's
+    // count, total, min and max) and per-path self-time/self-bytes sums.
     struct Acc {
-        count: u64,
-        total: f64,
         self_s: f64,
-        min: f64,
-        max: f64,
         hist: Histogram,
         alloc_bytes: u64,
         self_bytes: u64,
         bytes_hist: Histogram,
     }
-    struct PathAcc {
-        self_s: f64,
-        self_bytes: u64,
-    }
     let mut by_name: BTreeMap<String, Acc> = BTreeMap::new();
-    let mut by_path: BTreeMap<String, PathAcc> = BTreeMap::new();
+    let mut by_path: BTreeMap<String, (f64, u64)> = BTreeMap::new();
     for (idx, span) in intervals.iter().enumerate() {
         let duration = span.end - span.start;
         let self_s = (duration - child_sum[idx]).max(0.0);
@@ -268,42 +266,31 @@ pub fn analyze(trace: &ParsedTrace) -> TraceSummary {
         // exceed the parent's own (thread-local) delta.
         let self_bytes = span.alloc_bytes.saturating_sub(child_bytes[idx]);
         let acc = by_name.entry(span.name.clone()).or_insert_with(|| Acc {
-            count: 0,
-            total: 0.0,
             self_s: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
             hist: Histogram::new(),
             alloc_bytes: 0,
             self_bytes: 0,
             bytes_hist: Histogram::new(),
         });
-        acc.count += 1;
-        acc.total += duration;
         acc.self_s += self_s;
-        acc.min = acc.min.min(duration);
-        acc.max = acc.max.max(duration);
         acc.hist.record(duration);
         acc.alloc_bytes += span.alloc_bytes;
         acc.self_bytes += self_bytes;
         acc.bytes_hist.record(span.alloc_bytes as f64);
-        let slot = by_path.entry(paths[idx].clone()).or_insert(PathAcc {
-            self_s: 0.0,
-            self_bytes: 0,
-        });
-        slot.self_s += self_s;
-        slot.self_bytes += self_bytes;
+        let slot = by_path.entry(paths[idx].clone()).or_default();
+        slot.0 += self_s;
+        slot.1 += self_bytes;
     }
 
     let mut spans: Vec<SpanRollup> = by_name
         .into_iter()
         .map(|(name, acc)| SpanRollup {
             name,
-            count: acc.count,
-            total_s: acc.total,
+            count: acc.hist.count(),
+            total_s: acc.hist.sum(),
             self_s: acc.self_s,
-            min_s: acc.min,
-            max_s: acc.max,
+            min_s: acc.hist.min(),
+            max_s: acc.hist.max(),
             p50_s: acc.hist.percentile(0.5).unwrap_or(0.0),
             p95_s: acc.hist.percentile(0.95).unwrap_or(0.0),
             p99_s: acc.hist.percentile(0.99).unwrap_or(0.0),
@@ -312,26 +299,23 @@ pub fn analyze(trace: &ParsedTrace) -> TraceSummary {
             p95_alloc_bytes: acc.bytes_hist.percentile(0.95).unwrap_or(0.0),
         })
         .collect();
-    spans.sort_by(|a, b| {
-        b.total_s
-            .partial_cmp(&a.total_s)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
+    spans.sort_by(|a, b| b.total_s.total_cmp(&a.total_s));
 
     TraceSummary {
         spans,
         event_counts,
         collapsed: by_path
             .into_iter()
-            .map(|(path, acc)| CollapsedPath {
+            .map(|(path, (self_s, self_bytes))| CollapsedPath {
                 path,
-                self_s: acc.self_s,
-                self_bytes: acc.self_bytes,
+                self_s,
+                self_bytes,
             })
             .collect(),
         lines: trace.lines,
         skipped: trace.skipped,
         has_alloc,
+        converge: converge::extract(trace),
     }
 }
 
@@ -341,19 +325,11 @@ pub fn analyze_text(text: &str) -> TraceSummary {
 }
 
 /// Renders the human-readable rollup report `tsv3d trace` prints,
-/// ranked by descending total time. Memory columns appear when the
-/// trace carries allocator data.
-pub fn render_summary(summary: &TraceSummary) -> String {
-    render_summary_ranked(summary, false)
-}
-
-/// Renders the same report ranked by descending *self-allocated bytes*
-/// — the `tsv3d trace --mem` view answering "which span allocates".
-pub fn render_summary_mem(summary: &TraceSummary) -> String {
-    render_summary_ranked(summary, true)
-}
-
-fn render_summary_ranked(summary: &TraceSummary, by_mem: bool) -> String {
+/// ranked by descending total time — or, `by_mem` (`--mem`), by
+/// descending self-allocated bytes, answering "which span allocates".
+/// Memory columns appear when the trace carries allocator data, the
+/// convergence section when it holds epoch series.
+pub fn render_summary(summary: &TraceSummary, by_mem: bool) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -417,15 +393,18 @@ fn render_summary_ranked(summary: &TraceSummary, by_mem: bool) -> String {
             let _ = writeln!(out, "  {name:<width$}  {count}");
         }
     }
+    if let Some(report) = converge::analyze(&summary.converge) {
+        let _ = write!(out, "\n{}", converge::render_report(&report));
+    }
     out
 }
 
 /// Renders the machine-readable rollup (`tsv3d trace --format json`):
-/// one object with the parse counters, per-span rollups and event
-/// counts. The malformed-line count is always present, so scripted
-/// consumers can refuse visibly-degraded traces.
+/// one object with the parse counters, per-span rollups, event counts
+/// and the convergence report (`null` without epoch series). The
+/// malformed-line count is always present, so scripted consumers can
+/// refuse visibly-degraded traces.
 pub fn render_json(summary: &TraceSummary) -> String {
-    use crate::json::ObjectWriter;
     let spans: Vec<String> = summary
         .spans
         .iter()
@@ -451,34 +430,164 @@ pub fn render_json(summary: &TraceSummary) -> String {
     let events = crate::json::object_of_u64s(
         summary.event_counts.iter().map(|(k, v)| (k.as_str(), *v)),
     );
+    let report = converge::analyze(&summary.converge);
     let mut w = ObjectWriter::new();
-    w.str("schema", "tsv3d-trace/v1")
+    w.str("schema", SCHEMA)
+        .str("mode", "single")
         .u64("lines", summary.lines as u64)
         .u64("skipped", summary.skipped as u64)
-        .raw("has_alloc", if summary.has_alloc { "true" } else { "false" })
+        .bool("has_alloc", summary.has_alloc)
         .raw("spans", &format!("[{}]", spans.join(",")))
-        .raw("events", &events);
+        .raw("events", &events)
+        .raw("converge", &report.as_ref().map_or("null".into(), converge::render_json));
     w.finish()
 }
 
-/// Renders the collapsed-stack export (`path self_weight_ns` per line),
-/// the input format of standard flamegraph tooling.
-pub fn render_collapsed(summary: &TraceSummary) -> String {
-    let mut out = String::new();
-    for c in &summary.collapsed {
-        let ns = (c.self_s * 1e9).round().max(0.0) as u64;
-        let _ = writeln!(out, "{} {ns}", c.path);
+/// Schema tag of both `--format json` documents.
+const SCHEMA: &str = "tsv3d-trace/v2";
+
+/// A span both traces of a comparison hold, with its calls and self
+/// seconds per call in the base trace `a` and in `b`. Per call, because
+/// a benchmark run's time budget records a different number of passes
+/// each time.
+#[derive(Debug, Clone)]
+pub struct SpanDelta {
+    /// Span name.
+    pub name: String,
+    /// Calls in `a` and in `b`.
+    pub calls: (u64, u64),
+    /// Self seconds per call in `a` and in `b`.
+    pub per_call: (f64, f64),
+    /// The change of the self time per call, percent of `a`'s.
+    pub delta_pct: f64,
+    /// The self seconds that change adds over `b`'s calls.
+    pub moved_s: f64,
+}
+
+/// Trace `b` compared against the base trace `a`.
+#[derive(Debug, Clone)]
+pub struct TraceCompare {
+    /// The spans both traces hold, largest `|moved_s|` first.
+    pub spans: Vec<SpanDelta>,
+    /// Span names only `a` holds and only `b` holds, sorted.
+    pub only: (Vec<String>, Vec<String>),
+    /// The restart-by-restart comparison, when both hold epoch series.
+    pub converge: Option<converge::CompareReport>,
+}
+
+/// Compares trace `b` against the base trace `a`.
+pub fn compare(a: &TraceSummary, b: &TraceSummary) -> TraceCompare {
+    let only = |x: &TraceSummary, y: &TraceSummary| {
+        let mut names: Vec<String> = x.spans.iter().map(|s| s.name.clone()).collect();
+        names.retain(|name| y.spans.iter().all(|s| &s.name != name));
+        names.sort();
+        names
+    };
+    let mut spans: Vec<SpanDelta> = a
+        .spans
+        .iter()
+        .filter_map(|sa| {
+            let sb = b.spans.iter().find(|sb| sb.name == sa.name)?;
+            let (a_s, b_s) = (sa.self_s / sa.count as f64, sb.self_s / sb.count as f64);
+            Some(SpanDelta {
+                name: sa.name.clone(),
+                calls: (sa.count, sb.count),
+                per_call: (a_s, b_s),
+                delta_pct: if a_s == b_s { 0.0 } else { (b_s / a_s - 1.0) * 100.0 },
+                moved_s: (b_s - a_s) * sb.count as f64,
+            })
+        })
+        .collect();
+    spans.sort_by(|x, y| y.moved_s.abs().total_cmp(&x.moved_s.abs()));
+    let reports = converge::analyze(&a.converge).zip(converge::analyze(&b.converge));
+    TraceCompare {
+        spans,
+        only: (only(a, b), only(b, a)),
+        converge: reports.map(|(ra, rb)| converge::compare(ra, rb)),
+    }
+}
+
+/// Renders the comparison `tsv3d trace B --compare A` prints: the
+/// shared spans and the one that moved most, then the convergence
+/// comparison.
+pub fn render_compare(cmp: &TraceCompare, file_a: &str, file_b: &str) -> String {
+    let mut out = format!("trace compare:\n  a: {file_a} (base)\n  b: {file_b}\n");
+    if let Some(top) = cmp.spans.first() {
+        let width = cmp.spans.iter().map(|s| s.name.len()).fold(4, usize::max);
+        let _ = writeln!(
+            out,
+            "\n{:<width$}  {:>8}  {:>8}  {:>12}  {:>12}  {:>8}",
+            "span", "calls a", "calls b", "self us/a", "self us/b", "per call"
+        );
+        for s in &cmp.spans {
+            let (a_us, b_us) = (s.per_call.0 * 1e6, s.per_call.1 * 1e6);
+            let (name, pct, (ca, cb)) = (&s.name, s.delta_pct, s.calls);
+            let _ = writeln!(
+                out,
+                "{name:<width$}  {ca:>8}  {cb:>8}  {a_us:>12.3}  {b_us:>12.3}  {pct:>+7.1}%"
+            );
+        }
+        let _ = writeln!(
+            out,
+            "\nmoved most: {} ({:+.1}% self time per call, {:+.6} s over b's {} call(s))",
+            top.name, top.delta_pct, top.moved_s, top.calls.1
+        );
+    }
+    for (tag, names) in [("a", &cmp.only.0), ("b", &cmp.only.1)] {
+        if !names.is_empty() {
+            let _ = writeln!(out, "spans only in {tag}: {}", names.join(", "));
+        }
+    }
+    if let Some(report) = &cmp.converge {
+        let _ = write!(out, "\n{}", converge::render_compare(report));
     }
     out
 }
 
-/// Renders bytes-weighted collapsed stacks (`path self_bytes` per
-/// line) — the same flamegraph input format, with allocated bytes as
-/// the flame width instead of time.
-pub fn render_collapsed_bytes(summary: &TraceSummary) -> String {
+/// Renders the comparison as one `tsv3d-trace/v2` object
+/// (`tsv3d trace --compare --format json`).
+pub fn render_compare_json(cmp: &TraceCompare, file_a: &str, file_b: &str) -> String {
+    let spans: Vec<String> = cmp
+        .spans
+        .iter()
+        .map(|s| {
+            let mut w = ObjectWriter::new();
+            w.str("name", &s.name)
+                .u64("calls_a", s.calls.0)
+                .u64("calls_b", s.calls.1)
+                .f64("self_per_call_a_s", s.per_call.0)
+                .f64("self_per_call_b_s", s.per_call.1)
+                .f64("delta_pct", s.delta_pct);
+            w.finish()
+        })
+        .collect();
+    let mut w = ObjectWriter::new();
+    w.str("schema", SCHEMA)
+        .str("mode", "compare")
+        .str("a", file_a)
+        .str("b", file_b)
+        .raw("spans", &format!("[{}]", spans.join(",")))
+        .raw("only_a", &json::array_of_strs(&cmp.only.0))
+        .raw("only_b", &json::array_of_strs(&cmp.only.1))
+        .raw(
+            "converge",
+            &cmp.converge.as_ref().map_or("null".into(), converge::render_compare_json),
+        );
+    w.finish()
+}
+
+/// Renders the collapsed-stack export, the input format of standard
+/// flamegraph tooling: `path self_weight_ns` per line — or, `by_mem`,
+/// `path self_bytes`, with allocated bytes as the flame width.
+pub fn render_collapsed(summary: &TraceSummary, by_mem: bool) -> String {
     let mut out = String::new();
     for c in &summary.collapsed {
-        let _ = writeln!(out, "{} {}", c.path, c.self_bytes);
+        let weight = if by_mem {
+            c.self_bytes
+        } else {
+            (c.self_s * 1e9).round().max(0.0) as u64
+        };
+        let _ = writeln!(out, "{} {weight}", c.path);
     }
     out
 }
@@ -579,7 +688,7 @@ mod tests {
             .map(|c| c.path.as_str())
             .collect();
         assert_eq!(paths, vec!["outer", "outer;inner"]);
-        let flame = render_collapsed(&summary);
+        let flame = render_collapsed(&summary, false);
         assert!(flame.contains("outer;inner 400000000"), "{flame}");
         assert!(flame.contains("outer 600000000"), "{flame}");
     }
@@ -656,7 +765,7 @@ this is not json\n\
         assert_eq!(trace.events.len(), 2);
         let summary = analyze(&trace);
         assert_eq!(summary.event_counts["ok"], 2);
-        assert!(render_summary(&summary).contains("4 skipped"));
+        assert!(render_summary(&summary, false).contains("4 skipped"));
     }
 
     #[test]
@@ -665,8 +774,8 @@ this is not json\n\
         assert!(summary.spans.is_empty());
         assert_eq!(summary.lines, 0);
         assert_eq!(summary.skipped, 0);
-        assert!(render_collapsed(&summary).is_empty());
-        assert!(render_summary(&summary).contains("0 event(s)"));
+        assert!(render_collapsed(&summary, false).is_empty());
+        assert!(render_summary(&summary, false).contains("0 event(s)"));
     }
 
     #[test]
@@ -685,10 +794,10 @@ this is not json\n\
         let summary = analyze_text(text);
         assert!(!summary.has_alloc);
         assert_eq!(summary.spans[0].alloc_bytes, 0);
-        let report = render_summary(&summary);
+        let report = render_summary(&summary, false);
         assert!(!report.contains("alloc B"), "{report}");
         // --mem on an alloc-free trace degrades with a note.
-        let mem_report = render_summary_mem(&summary);
+        let mem_report = render_summary(&summary, true);
         assert!(mem_report.contains("no alloc_bytes"), "{mem_report}");
     }
 
@@ -707,9 +816,9 @@ this is not json\n\
         assert_eq!(outer.alloc_bytes, 10_000);
         assert_eq!(outer.self_bytes, 6_000, "10000 − 4000 nested");
         assert_eq!(inner.self_bytes, 4_000);
-        let report = render_summary(&summary);
+        let report = render_summary(&summary, false);
         assert!(report.contains("alloc B"), "{report}");
-        let flame = render_collapsed_bytes(&summary);
+        let flame = render_collapsed(&summary, true);
         assert!(flame.contains("outer;inner 4000"), "{flame}");
         assert!(flame.contains("outer 6000"), "{flame}");
     }
@@ -735,7 +844,7 @@ this is not json\n\
 {\"t\":3.0,\"event\":\"span\",\"name\":\"big\",\"seconds\":0.1,\"alloc_bytes\":90000}\n";
         let summary = analyze_text(text);
         assert_eq!(summary.spans[0].name, "small", "default rank: time");
-        let mem_report = render_summary_mem(&summary);
+        let mem_report = render_summary(&summary, true);
         let big_at = mem_report.find("big").unwrap();
         let small_at = mem_report.find("small").unwrap();
         assert!(big_at < small_at, "{mem_report}");

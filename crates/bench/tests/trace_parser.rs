@@ -149,8 +149,8 @@ fn empty_and_whitespace_only_files_degrade_to_empty_summaries() {
         let summary = trace::analyze_text(text);
         assert!(summary.spans.is_empty(), "{text:?}");
         assert_eq!(summary.skipped, 0, "{text:?}");
-        assert!(trace::render_collapsed(&summary).is_empty());
+        assert!(trace::render_collapsed(&summary, false).is_empty());
         // Rendering an empty summary must not panic either.
-        let _ = trace::render_summary(&summary);
+        let _ = trace::render_summary(&summary, false);
     }
 }

@@ -1,11 +1,12 @@
 //! Schema pin for the annealer's per-epoch telemetry events.
 //!
-//! `tsv3d converge` (and any external trace consumer) parses the
+//! `tsv3d trace` (and any external trace consumer) parses the
 //! `anneal.calibrated` and `anneal.epoch` events by field name and
 //! type, so their exact shape is an interface: this test runs a tiny
 //! instrumented anneal and asserts the ordered field names and
 //! [`Value`] variants byte-for-byte. Renaming or reordering a field
-//! must update this test — and the converge parser — in one commit.
+//! must update this test — and the trace reader's convergence parser
+//! (`tsv3d_bench::converge`) — in one commit.
 //!
 //! The restart label travels out of band on [`Event::thread`] (sinks
 //! serialise it as the trailing `thread` key, so the JSONL stream is
@@ -172,7 +173,7 @@ fn epoch_events_pin_field_names_types_and_restart_labels() {
         }
         // The per-restart handle stamps its label on the event's
         // out-of-band `thread` slot (sinks serialise it last), which is
-        // how `tsv3d converge` separates the r0…rN series.
+        // how `tsv3d trace` separates the r0…rN series.
         let label = thread.as_deref().expect("epoch events carry a thread label");
         assert_eq!(
             label,

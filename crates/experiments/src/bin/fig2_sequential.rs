@@ -64,6 +64,5 @@ fn run(args: &Args) -> Result<i32, Fail> {
     println!("branch probability approaches 1 (uncorrelated data leaves nothing to exploit).");
     println!("The self/adj/diag/dist columns attribute the optimal assignment's power to");
     println!("the fixed self terms and the neighbor-class coupling pairs (`tsv3d explain`).");
-    obs::finish(&tel);
     Ok(0)
 }

@@ -50,6 +50,5 @@ fn run(args: &Args) -> Result<i32, Fail> {
     println!("Paper shape: Sawtooth ≈ optimal for rho <= 0 (biggest gains for negative rho);");
     println!("for positive rho neither systematic mapping reaches the optimum, but both beat");
     println!("poor assignments; gains shrink as sigma approaches full scale.");
-    obs::finish(&tel);
     Ok(0)
 }

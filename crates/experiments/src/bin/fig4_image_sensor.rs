@@ -61,6 +61,5 @@ fn run(args: &Args) -> Result<i32, Fail> {
     println!("Paper shape: Spiral nearly optimal without stable lines (11-13 % reduction, ~5 %");
     println!("for the multiplexed colours); with stable lines the optimal assignment gains a");
     println!("few extra percentage points by exploiting inversions and stable-line coupling.");
-    obs::finish(&tel);
     Ok(0)
 }

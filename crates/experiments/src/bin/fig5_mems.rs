@@ -51,6 +51,5 @@ fn run(args: &Args) -> Result<i32, Fail> {
     println!("Paper shape: interleaved (XYZ) streams — Sawtooth only slightly below optimal;");
     println!("RMS streams (unsigned, temporally correlated) — Spiral clearly beats Sawtooth");
     println!("but tops out lower than the interleaved case.");
-    obs::finish(&tel);
     Ok(0)
 }

@@ -85,6 +85,5 @@ fn run(args: &Args) -> Result<i32, Fail> {
         "  RGB mux:     correlator + opt. assign.  {:6.1} %   (paper: 41.0 %)",
         (1.0 - corr.power_assigned_mw / rgb.power_plain_mw) * 100.0
     );
-    obs::finish(&tel);
     Ok(0)
 }

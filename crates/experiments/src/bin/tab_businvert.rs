@@ -47,6 +47,5 @@ fn run(args: &Args) -> Result<i32, Fail> {
         "extra saving from the bit-to-TSV assignment (free): {:.1} %",
         study.assignment_gain_pct()
     );
-    obs::finish(&tel);
     Ok(0)
 }

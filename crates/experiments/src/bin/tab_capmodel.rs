@@ -55,6 +55,5 @@ fn run(_: &Args) -> Result<i32, Fail> {
     println!("Expected structure: NRMSE small (near-linear C(p)); sizeable MOS reduction");
     println!("(up to ~40 % for the minimum geometry); corner totals below middle totals");
     println!("(< 1.0); direct couplings clearly above diagonal ones (> 1.0).");
-    obs::finish(&tel);
     Ok(0)
 }

@@ -54,6 +54,5 @@ fn run(args: &Args) -> Result<i32, Fail> {
     println!("which does not map onto the 2-D TSV array — the observed victim noise stays");
     println!("in the same band while the 4 extra TSVs cost ~30 % power. The assignment");
     println!("reduces power on the original array with no SI penalty (paper Sec. 1).");
-    obs::finish(&tel);
     Ok(0)
 }

@@ -48,6 +48,5 @@ fn run(args: &Args) -> Result<i32, Fail> {
     }
     println!("Paper claim: thicker TSVs / wider pitches gain even more (up to 48 % quoted");
     println!("for r = 2 um, d = 8 um at circuit level).");
-    obs::finish(&tel);
     Ok(0)
 }

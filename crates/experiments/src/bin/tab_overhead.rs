@@ -35,6 +35,5 @@ fn run(_: &Args) -> Result<i32, Fail> {
     println!("{}", table.render_timed(&tel));
     println!("Claim reproduced: the local bit-to-TSV reassignment is negligible against the");
     println!("TSV-dominated path parasitics (all numbers well below a few percent).");
-    obs::finish(&tel);
     Ok(0)
 }

@@ -47,6 +47,5 @@ fn run(args: &Args) -> Result<i32, Fail> {
     println!("objectives (both penalise opposite transitions on strong couplings), so the");
     println!("power-optimal assignment is SI-friendly for free — no CAC overhead needed");
     println!("to avoid worsening crosstalk.");
-    obs::finish(&tel);
     Ok(0)
 }

@@ -44,6 +44,5 @@ fn run(args: &Args) -> Result<i32, Fail> {
     );
     println!("Reading: the fixed mapping keeps most of the reconfigurable upper bound,");
     println!("supporting the paper's zero-overhead design point.");
-    obs::finish(&tel);
     Ok(0)
 }

@@ -58,6 +58,5 @@ fn run(args: &Args) -> Result<i32, Fail> {
     println!("placement; re-optimising with the dead via pinned to the spare line");
     println!("recovers most of it — the repair should re-run the assignment, not");
     println!("just patch the routing.");
-    obs::finish(&tel);
     Ok(0)
 }

@@ -1,7 +1,8 @@
 //! Observability plumbing shared by every experiment binary.
 //!
 //! One call at the top of `main` turns the `TSV3D_TELEMETRY`
-//! environment switch into a [`TelemetryHandle`]:
+//! environment switch into a [`Run`], a guard around the run's
+//! [`TelemetryHandle`]:
 //!
 //! | `TSV3D_TELEMETRY` | behaviour |
 //! |---|---|
@@ -11,8 +12,8 @@
 //!
 //! ```no_run
 //! let tel = tsv3d_experiments::obs::for_binary("fig3_gaussian");
-//! // ... run the experiment, passing `&tel` down ...
-//! tsv3d_experiments::obs::finish(&tel);
+//! // ... run the experiment, passing `&tel` down; dropping `tel`
+//! // ends the run, also on an early `?` return ...
 //! ```
 //!
 //! # Memory observability
@@ -41,7 +42,7 @@ use tsv3d_telemetry::alloc;
 #[global_allocator]
 static GLOBAL_ALLOC: alloc::CountingAlloc = alloc::CountingAlloc::system();
 
-/// The binary name [`finish`] records in a `run` history record: set
+/// The binary name a [`Run`] records in its `run` history record: set
 /// once by the first [`for_binary_with`] call of the process.
 static RUN_BINARY: OnceLock<String> = OnceLock::new();
 
@@ -65,13 +66,13 @@ fn history_path() -> Option<PathBuf> {
 /// the binary name, abbreviated git revision, telemetry mode, thread
 /// count (the host's available parallelism), and (via
 /// [`for_binary_with`]) the workload seed.
-pub fn for_binary(binary: &str) -> TelemetryHandle {
+pub fn for_binary(binary: &str) -> Run {
     for_binary_with(binary, None)
 }
 
 /// [`for_binary`] with the workload seed, when the binary has a single
 /// governing one.
-pub fn for_binary_with(binary: &str, seed: Option<u64>) -> TelemetryHandle {
+pub fn for_binary_with(binary: &str, seed: Option<u64>) -> Run {
     let tel = TelemetryHandle::from_env(binary);
     if tel.is_enabled() {
         let mode = std::env::var("TSV3D_TELEMETRY").unwrap_or_else(|_| "off".to_string());
@@ -87,7 +88,28 @@ pub fn for_binary_with(binary: &str, seed: Option<u64>) -> TelemetryHandle {
         tel.event("run.start", &fields);
         let _ = RUN_BINARY.set(binary.to_string());
     }
-    tel
+    Run(tel)
+}
+
+/// An instrumented run: derefs to its [`TelemetryHandle`] and ends the
+/// run when dropped, so an early `?` return still writes `run.done`.
+pub struct Run(TelemetryHandle);
+
+impl std::ops::Deref for Run {
+    type Target = TelemetryHandle;
+
+    fn deref(&self) -> &TelemetryHandle {
+        &self.0
+    }
+}
+
+impl Drop for Run {
+    /// A panicking run did not finish, so it ends without `run.done`.
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            finish(&self.0);
+        }
+    }
 }
 
 /// The thread count a run records: the host's available parallelism.
@@ -95,9 +117,9 @@ fn threads() -> u64 {
     tsv3d_bench::report::available_parallelism().unwrap_or(1)
 }
 
-/// Ends an instrumented run: emits `run.done`, prints the aggregate
-/// summary (counters + timing digests) to stderr and flushes the sink.
-/// A disabled handle makes this a no-op.
+/// Ends an instrumented run ([`Run`]'s drop): emits `run.done`, prints
+/// the aggregate summary (counters + timing digests) to stderr and
+/// flushes the sink. A disabled handle makes this a no-op.
 ///
 /// With allocation counting active, `run.done` additionally reports
 /// the process-wide memory picture: `peak_bytes` (live-bytes
@@ -109,7 +131,7 @@ fn threads() -> u64 {
 /// carries `power_self_charge` and `power_coupling_charge`, so a trace
 /// alone answers "where did the final assignment's power go" without
 /// re-running the workload.
-pub fn finish(tel: &TelemetryHandle) {
+fn finish(tel: &TelemetryHandle) {
     if !tel.is_enabled() {
         return;
     }

@@ -1,5 +1,5 @@
 //! End-to-end tests of the `tsv3d` multiplexer binary: command
-//! dispatch, the usage/exit-code contract of all eleven commands, the
+//! dispatch, the usage/exit-code contract of all ten commands, the
 //! assignment-flow commands' stdout, and the `bench`/`trace` surfaces;
 //! plus the same contract and `--csv` for the 14 table binaries.
 //!
@@ -46,7 +46,7 @@ fn scratch(tag: &str) -> PathBuf {
 #[test]
 fn unknown_subcommand_prints_usage_and_exits_2() {
     // Retired commands are unknown commands like any other.
-    for unknown in ["frobnicate", "watch", "serve"] {
+    for unknown in ["frobnicate", "watch", "serve", "converge"] {
         let out = tsv3d(&[unknown]);
         assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr(&out));
         let err = stderr(&out);
@@ -87,9 +87,8 @@ fn help_prints_usage_on_stdout_and_exits_0() {
 
 /// Every command, each with its own usage text: the assignment flow,
 /// then the observability subcommands.
-const SUBCOMMANDS: [&str; 11] = [
-    "assign", "eval", "extract", "spice", "noise", "bench", "trace", "converge", "explain",
-    "history", "dash",
+const SUBCOMMANDS: [&str; 10] = [
+    "assign", "eval", "extract", "spice", "noise", "bench", "trace", "explain", "history", "dash",
 ];
 
 #[test]
@@ -111,6 +110,9 @@ fn out_of_range_values_and_foreign_flags_are_usage_errors() {
         &["eval", "--assignment", "0,1,2"],
         &["eval", "--rows", "2", "--cols", "2", "--assignment", "0,x,2,3"],
         &["dash", "--live", "127.0.0.1:1"],
+        &["dash", "--converge", "a.jsonl"],
+        &["trace", "a.jsonl", "--epsilon", "1"],
+        &["trace", "b.jsonl", "--compare", "a.jsonl", "--svg", "x.svg"],
     ] {
         let out = tsv3d(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
@@ -535,6 +537,20 @@ fn csv_writes_the_table_and_a_failed_write_exits_1() {
     let out = run(exe, &["--quick", "--csv"], &blocked);
     assert_eq!(out.status.code(), Some(1), "stdout: {}", stdout(&out));
     assert!(stderr(&out).contains("results/tab_phases.csv"), "{}", stderr(&out));
+    // Traced, the failed run still ends its trace with one `run.done`.
+    let trace = blocked.join("t.jsonl");
+    let out = Command::new(exe)
+        .args(["--quick", "--csv"])
+        .current_dir(&blocked)
+        .env("TSV3D_TELEMETRY", "json")
+        .env("TSV3D_TELEMETRY_PATH", &trace)
+        .env_remove("TSV3D_HISTORY")
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(1), "stdout: {}", stdout(&out));
+    let events = std::fs::read_to_string(&trace).expect("trace written");
+    assert_eq!(events.matches("\"event\":\"run.done\"").count(), 1, "{events}");
+    assert!(events.trim_end().lines().last().unwrap().contains("\"event\":\"run.done\""));
     for dir in [dir, blocked] {
         let _ = std::fs::remove_dir_all(dir);
     }

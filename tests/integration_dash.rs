@@ -46,7 +46,7 @@ fn scratch(label: &str) -> PathBuf {
 }
 
 /// The canonical full-input invocation: committed bench artifacts and
-/// experiment artifacts, a fixture ledger, and fixture traces for the
+/// experiment artifacts, a fixture ledger, and a fixture trace for the
 /// flamegraph and convergence panels.
 fn dash_args<'a>(out: &'a str, extra: &[&'a str]) -> Vec<String> {
     [
@@ -57,8 +57,6 @@ fn dash_args<'a>(out: &'a str, extra: &[&'a str]) -> Vec<String> {
         &fixture("history_regressed.jsonl"),
         "--trace",
         &fixture("pulse_trace_mixed.jsonl"),
-        "--converge",
-        &fixture("converge_small_a.jsonl"),
         "--artifacts",
         &repo("results"),
         "--out",
@@ -222,13 +220,13 @@ fn format_json_audit_pins_every_subcommand_schema() {
             "trace",
             cli::TRACE_USAGE,
             vec!["trace", &trace, "--format", "json"],
-            "tsv3d-trace/v1",
+            "tsv3d-trace/v2",
         ),
         (
-            "converge",
-            cli::CONVERGE_USAGE,
-            vec!["converge", &trace, "--format", "json"],
-            "tsv3d-converge/v1",
+            "trace --compare",
+            cli::TRACE_USAGE,
+            vec!["trace", &trace, "--compare", &trace, "--format", "json"],
+            "tsv3d-trace/v2",
         ),
         (
             "history",

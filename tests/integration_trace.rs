@@ -1,10 +1,11 @@
-//! End-to-end tests of `tsv3d converge`: single-trace convergence
-//! reports over committed fixtures, `--compare` divergence flagging,
-//! JSON output validity, deterministic SVG rendering, and the full
-//! record-then-analyze loop through `tsv3d bench --trace`.
+//! End-to-end tests of `tsv3d trace` on annealing and span traces: the
+//! convergence section over committed fixtures, `--compare` of span
+//! self time per call and of restart divergence, JSON output validity,
+//! the deterministic convergence panel of `tsv3d dash --trace`, and the
+//! full record-then-analyze loop through `tsv3d bench --trace`.
 //!
 //! Exit-code contract: 0 success, 1 runtime failure (unreadable file,
-//! no `anneal.epoch` series), 2 usage error.
+//! two traces with nothing to compare), 2 usage error.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -40,18 +41,33 @@ fn fixture(name: &str) -> String {
 
 /// A per-test scratch directory under the target tmpdir.
 fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("tsv3d_converge_{tag}_{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("tsv3d_trace_{tag}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("scratch dir is creatable");
     dir
 }
 
+/// Writes a span trace to `dir/name`: one span per `(name, seconds)`,
+/// each ending a second after the previous one.
+fn span_trace(dir: &std::path::Path, name: &str, spans: &[(&str, f64)]) -> String {
+    let mut text = String::new();
+    for (i, (span, seconds)) in spans.iter().enumerate() {
+        text.push_str(&format!(
+            "{{\"t\":{}.0,\"event\":\"span\",\"name\":\"{span}\",\"seconds\":{seconds}}}\n",
+            i + 1
+        ));
+    }
+    let path = dir.join(name);
+    std::fs::write(&path, text).unwrap();
+    path.to_str().unwrap().to_string()
+}
+
 #[test]
 fn single_trace_report_tables_both_restarts() {
-    let out = tsv3d(&["converge", &fixture("converge_small_a.jsonl")]);
+    let out = tsv3d(&["trace", &fixture("converge_small_a.jsonl")]);
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
     let text = stdout(&out);
-    assert!(text.contains("2 restart series"), "{text}");
+    assert!(text.contains("convergence: 2 restart series"), "{text}");
     assert!(text.contains("case: fixture_anneal"), "{text}");
     assert!(text.contains("calibrated:"), "{text}");
     for label in ["r0", "r1"] {
@@ -64,20 +80,15 @@ fn single_trace_report_tables_both_restarts() {
 
 #[test]
 fn single_trace_json_is_valid_and_carries_the_schema() {
-    let out = tsv3d(&[
-        "converge",
-        &fixture("converge_small_a.jsonl"),
-        "--format",
-        "json",
-    ]);
+    let out = tsv3d(&["trace", &fixture("converge_small_a.jsonl"), "--format", "json"]);
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
     let doc = json::parse(&stdout(&out)).expect("output is valid JSON");
     assert_eq!(
         doc.get("schema").and_then(JsonValue::as_str),
-        Some("tsv3d-converge/v1")
+        Some("tsv3d-trace/v2")
     );
     assert_eq!(doc.get("mode").and_then(JsonValue::as_str), Some("single"));
-    let body = doc.get("report").expect("report body");
+    let body = doc.get("converge").expect("converge member");
     let restarts = body.get("restarts").and_then(JsonValue::as_array).unwrap();
     assert_eq!(restarts.len(), 2);
     assert_eq!(
@@ -100,12 +111,8 @@ fn single_trace_json_is_valid_and_carries_the_schema() {
 
 #[test]
 fn compare_flags_the_diverged_restart_only() {
-    let out = tsv3d(&[
-        "converge",
-        "--compare",
-        &fixture("converge_small_a.jsonl"),
-        &fixture("converge_small_b.jsonl"),
-    ]);
+    let (a, b) = (fixture("converge_small_a.jsonl"), fixture("converge_small_b.jsonl"));
+    let out = tsv3d(&["trace", &b, "--compare", &a]);
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
     let text = stdout(&out);
     // r0 is identical in both traces; r1 was given a collapsed accept
@@ -115,55 +122,59 @@ fn compare_flags_the_diverged_restart_only() {
     assert!(text.contains("final-energy"), "{text}");
     assert!(text.contains("wasted iterations:"), "{text}");
 
-    let out = tsv3d(&[
-        "converge",
-        "--compare",
-        &fixture("converge_small_a.jsonl"),
-        &fixture("converge_small_b.jsonl"),
-        "--format",
-        "json",
-    ]);
+    let out = tsv3d(&["trace", &b, "--compare", &a, "--format", "json"]);
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
     let doc = json::parse(&stdout(&out)).expect("compare output is valid JSON");
     assert_eq!(
         doc.get("schema").and_then(JsonValue::as_str),
-        Some("tsv3d-converge/v1")
+        Some("tsv3d-trace/v2")
     );
     assert_eq!(doc.get("mode").and_then(JsonValue::as_str), Some("compare"));
-    assert_eq!(doc.get("diverged").and_then(JsonValue::as_u64), Some(1));
-    let pairs = doc.get("pairs").and_then(JsonValue::as_array).unwrap();
+    let converge = doc.get("converge").expect("converge member");
+    assert_eq!(converge.get("diverged").and_then(JsonValue::as_u64), Some(1));
+    let pairs = converge.get("pairs").and_then(JsonValue::as_array).unwrap();
     assert_eq!(pairs.len(), 2);
     assert_eq!(pairs[0].get("diverged"), Some(&JsonValue::Bool(false)));
     assert_eq!(pairs[1].get("diverged"), Some(&JsonValue::Bool(true)));
 }
 
+/// The convergence plot now lives in `tsv3d dash --trace`: the same
+/// trace renders the same page, one descent curve per restart.
 #[test]
 fn svg_renders_byte_identically_across_runs() {
     let dir = scratch("svg");
-    let svg_a = dir.join("a.svg");
-    let svg_b = dir.join("b.svg");
-    for svg in [&svg_a, &svg_b] {
+    let pages = [dir.join("a.html"), dir.join("b.html")];
+    for page in &pages {
         let out = tsv3d(&[
-            "converge",
+            "dash",
+            "--trace",
             &fixture("converge_small_a.jsonl"),
-            "--svg",
-            svg.to_str().unwrap(),
+            "--bench-dir",
+            dir.to_str().unwrap(),
+            "--artifacts",
+            dir.to_str().unwrap(),
+            "--history",
+            &fixture("history_steady.jsonl"),
+            "--out",
+            page.to_str().unwrap(),
         ]);
         assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
     }
-    let rendered = std::fs::read(&svg_a).unwrap();
+    let rendered = std::fs::read_to_string(&pages[0]).unwrap();
     assert_eq!(
         rendered,
-        std::fs::read(&svg_b).unwrap(),
-        "same trace must render a byte-identical SVG"
+        std::fs::read_to_string(&pages[1]).unwrap(),
+        "same trace must render a byte-identical page"
     );
-    let text = String::from_utf8(rendered).unwrap();
-    assert!(text.starts_with("<?xml"), "self-contained SVG document");
-    assert!(text.ends_with("</svg>\n"), "document is complete");
+    let section = rendered
+        .split("<h2>Convergence</h2>")
+        .nth(1)
+        .and_then(|rest| rest.split("<h2>").next())
+        .expect("a convergence section");
     assert_eq!(
-        text.matches("<polyline").count(),
+        section.matches("<polyline").count(),
         2,
-        "one descent curve per restart:\n{text}"
+        "one descent curve per restart:\n{section}"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -171,25 +182,23 @@ fn svg_renders_byte_identically_across_runs() {
 /// A trace with foreign events mixed in (`pulse.sample` and
 /// `pulse.progress`, as older traces carry them) and the run's start
 /// and end: both restart series are read to their final iteration and
-/// the rest is counted as ignored.
+/// the rest is counted among the events.
 #[test]
 fn pulse_trace_yields_both_restart_series() {
     let trace = fixture("pulse_trace_mixed.jsonl");
-    let out = tsv3d(&["converge", &trace]);
+    let out = tsv3d(&["trace", &trace]);
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
     let text = stdout(&out);
-    assert!(
-        text.contains("2 restart series on 10 line(s), 0 skipped"),
-        "{text}"
-    );
-    assert!(text.contains("ignored: 3 event(s)"), "{text}");
+    assert!(text.contains("10 event(s) on 10 line(s), 0 skipped"), "{text}");
+    assert!(text.contains("  pulse.sample       2\n"), "{text}");
+    assert!(text.contains("convergence: 2 restart series"), "{text}");
     assert!(text.contains("100 iters x 2 restarts"), "{text}");
 
-    let out = tsv3d(&["converge", &trace, "--format", "json"]);
+    let out = tsv3d(&["trace", &trace, "--format", "json"]);
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
     let value = json::parse(&stdout(&out)).expect("stdout is one JSON document");
     let restarts = value
-        .get("report")
+        .get("converge")
         .and_then(|r| r.get("restarts"))
         .and_then(JsonValue::as_array)
         .expect("restarts array");
@@ -208,33 +217,86 @@ fn pulse_trace_warns_about_malformed_lines() {
     let path = dir.join("mixed.jsonl");
     let text = std::fs::read_to_string(fixture("pulse_trace_mixed.jsonl")).unwrap();
     std::fs::write(&path, format!("not json\n{text}")).unwrap();
-    let out = tsv3d(&["converge", path.to_str().unwrap()]);
+    let out = tsv3d(&["trace", path.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
     let err = stderr(&out);
     assert!(
         err.contains("warning: 1 of 11 line(s) skipped as malformed"),
         "{err}"
     );
-    assert!(stdout(&out).contains("2 restart series on 11 line(s), 1 skipped"));
+    let text = stdout(&out);
+    assert!(text.contains("on 11 line(s), 1 skipped"), "{text}");
+    assert!(text.contains("convergence: 2 restart series"), "{text}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn trace_without_epochs_exits_1_and_missing_file_too() {
+fn trace_without_epochs_prints_no_convergence_and_exits_0() {
     let dir = scratch("empty");
-    let path = dir.join("spans_only.jsonl");
-    std::fs::write(
-        &path,
-        "{\"t\":1.0,\"event\":\"span\",\"name\":\"core.anneal\",\"seconds\":0.5}\n",
-    )
-    .unwrap();
-    let out = tsv3d(&["converge", path.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(1), "stdout: {}", stdout(&out));
-    assert!(stderr(&out).contains("no anneal.epoch series"), "{}", stderr(&out));
+    let path = span_trace(&dir, "spans_only.jsonl", &[("core.anneal", 0.5)]);
+    let out = tsv3d(&["trace", &path]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    let text = stdout(&out);
+    assert!(text.contains("core.anneal"), "{text}");
+    assert!(!text.contains("convergence"), "{text}");
+    let out = tsv3d(&["trace", &path, "--format", "json"]);
+    assert!(stdout(&out).contains("\"converge\":null"), "{}", stdout(&out));
 
-    let out = tsv3d(&["converge", "/nonexistent/нет.jsonl"]);
+    let out = tsv3d(&["trace", "/nonexistent/нет.jsonl"]);
     assert_eq!(out.status.code(), Some(1));
     assert!(stderr(&out).contains("cannot read"), "{}", stderr(&out));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A benchmark run's time budget records a different number of passes
+/// each time, so the comparison normalises per call: twice the calls
+/// at the same time per call is no change.
+#[test]
+fn equal_per_call_times_compare_as_no_change() {
+    let dir = scratch("per_call");
+    let base = span_trace(&dir, "base.jsonl", &[("work", 0.25); 2]);
+    let change = span_trace(&dir, "change.jsonl", &[("work", 0.25); 4]);
+    let out = tsv3d(&["trace", &change, "--compare", &base]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    let text = stdout(&out);
+    let row = text.lines().find(|l| l.starts_with("work ")).expect("work row");
+    assert!(row.ends_with("+0.0%"), "{text}");
+    assert!(text.contains("moved most: work (+0.0% self time per call"), "{text}");
+    assert!(!text.contains("convergence"), "span traces hold no epochs:\n{text}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn compare_ranks_spans_by_time_moved_and_needs_a_shared_name() {
+    let dir = scratch("rank");
+    // `slow` doubles per call but runs once; `fast` rises 50 % per call
+    // over four calls and so moves more time.
+    let base = span_trace(&dir, "base.jsonl", &[("fast", 0.25), ("slow", 0.25), ("gone", 0.5)]);
+    let change = span_trace(
+        &dir,
+        "change.jsonl",
+        &[("fast", 0.375), ("fast", 0.375), ("fast", 0.375), ("fast", 0.375), ("slow", 0.5), ("new", 0.5)],
+    );
+    let out = tsv3d(&["trace", &change, "--compare", &base]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    let text = stdout(&out);
+    let (fast, slow) = (text.find("\nfast ").unwrap(), text.find("\nslow ").unwrap());
+    assert!(fast < slow, "{text}");
+    assert!(text.contains("moved most: fast (+50.0% self time per call, +0.500000 s"), "{text}");
+    assert!(text.contains("spans only in a: gone\nspans only in b: new\n"), "{text}");
+
+    let out = tsv3d(&["trace", &change, "--compare", &base, "--format", "json"]);
+    let doc = json::parse(&stdout(&out)).expect("compare output is valid JSON");
+    let spans = doc.get("spans").and_then(JsonValue::as_array).unwrap();
+    assert_eq!(spans[0].get("name").and_then(JsonValue::as_str), Some("fast"));
+    assert_eq!(spans[0].get("calls_b").and_then(JsonValue::as_u64), Some(4));
+    assert_eq!(doc.get("converge"), Some(&JsonValue::Null));
+
+    // Nothing shared: no span name, no restart label.
+    let other = span_trace(&dir, "other.jsonl", &[("elsewhere", 0.25)]);
+    let out = tsv3d(&["trace", &other, "--compare", &base]);
+    assert_eq!(out.status.code(), Some(1), "stdout: {}", stdout(&out));
+    assert!(stderr(&out).contains("share no span name and no restart label"), "{}", stderr(&out));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -273,26 +335,30 @@ fn bench_trace_roundtrip_compares_serial_against_threaded() {
         );
     }
 
-    // Single-trace report sees the case's two restarts.
-    let out = tsv3d(&["converge", serial.to_str().unwrap()]);
+    // The single-trace report sees the case's two restarts.
+    let out = tsv3d(&["trace", serial.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
     let text = stdout(&out);
-    assert!(text.contains("2 restart series"), "{text}");
+    assert!(text.contains("convergence: 2 restart series"), "{text}");
     assert!(text.contains("case: anneal_quick_3x3"), "{text}");
 
     // The comparison is clean: same seed, same search, no divergence.
     let out = tsv3d(&[
-        "converge",
+        "trace",
+        threaded.to_str().unwrap(),
         "--compare",
         serial.to_str().unwrap(),
-        threaded.to_str().unwrap(),
         "--format",
         "json",
     ]);
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    assert!(stdout(&out).contains("\"diverged\":0"), "{}", stdout(&out));
     let doc = json::parse(&stdout(&out)).expect("compare output is valid JSON");
-    assert_eq!(doc.get("diverged").and_then(JsonValue::as_u64), Some(0));
-    let pairs = doc.get("pairs").and_then(JsonValue::as_array).unwrap();
+    let pairs = doc
+        .get("converge")
+        .and_then(|c| c.get("pairs"))
+        .and_then(JsonValue::as_array)
+        .unwrap();
     assert_eq!(pairs.len(), 2, "both restarts matched across the traces");
     let _ = std::fs::remove_dir_all(&dir);
 }
