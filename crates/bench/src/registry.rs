@@ -22,7 +22,7 @@ use tsv3d_circuit::{DriverModel, TsvLink};
 use tsv3d_codec::{Correlator, CouplingInvert, GrayCodec};
 use tsv3d_core::{optimize, SignedPerm};
 use tsv3d_model::{Extractor, TsvArray, TsvGeometry, TsvRcNetlist};
-use tsv3d_stats::gen::{GaussianSource, SequentialSource};
+use tsv3d_stats::gen::{all_sensors_mux, GaussianSource, MemsSensor, SensorKind, SequentialSource};
 use tsv3d_stats::{BitStream, SwitchingStats};
 use tsv3d_telemetry::TelemetryHandle;
 
@@ -334,6 +334,44 @@ pub fn cases() -> Vec<BenchCase> {
             },
         },
         BenchCase {
+            name: "circuit.simulate_4x4",
+            area: "circuit",
+            about: "TsvLink::simulate on a fig6_circuit job's link (4x4 min, extracted at the stream's bit probabilities, 3 pi sections, 24 steps) over a 5400-word Sensor Mux stream at 3 GHz; asserts the recorded dynamic energy",
+            setup: |_cfg| {
+                let sensors = [
+                    SensorKind::Magnetometer,
+                    SensorKind::Accelerometer,
+                    SensorKind::Gyroscope,
+                ]
+                .map(|k| MemsSensor::new(k).with_samples(600));
+                let stream = all_sensors_mux(&sensors, 0xF1_66).expect("mux succeeds");
+                let array = TsvArray::new(4, 4, TsvGeometry::itrs_2018_min())
+                    .expect("4x4 geometry is valid");
+                let cap = Extractor::new(array.clone())
+                    .extract(SwitchingStats::from_stream(&stream).bit_probabilities())
+                    .expect("bit probabilities are valid");
+                let link = TsvLink::new(
+                    TsvRcNetlist::from_extraction(&array, cap),
+                    DriverModel::ptm_22nm_strength6(),
+                )
+                .expect("link construction succeeds");
+                let recorded = f64::from_bits(SENSOR_MUX_4X4_ENERGY_BITS);
+                Box::new(move |tel| {
+                    let report = link
+                        .simulate_with_telemetry(&stream, 3.0e9, tel)
+                        .expect("simulation succeeds");
+                    let energy = report.dynamic_energy();
+                    assert!(
+                        (energy - recorded).abs() <= 1e-12 * recorded,
+                        "dynamic energy {energy:e} J (bits {:#018x}) drifted from the recorded {recorded:e} J",
+                        energy.to_bits()
+                    );
+                    tel.add("bench.simulated_cycles", report.cycles() as u64);
+                    black_box(energy);
+                })
+            },
+        },
+        BenchCase {
             name: "gray_encode_w16_4k",
             area: "codec",
             about: "Gray-code encode of a 4096-cycle, 16-bit gaussian stream",
@@ -458,6 +496,9 @@ const FIG3_GAUSS_4X4: ExplainSpec = ExplainSpec {
 };
 /// `core.anneal_4x4_serial`'s power, as the annealer first returned it.
 const FIG3_GAUSS_4X4_POWER_BITS: u64 = 0x3d59_4ecf_57c1_f3f1;
+/// `circuit.simulate_4x4`'s dynamic energy, as the per-word cycle-map
+/// loop first computed it.
+const SENSOR_MUX_4X4_ENERGY_BITS: u64 = 0x3e0c_9f06_18c9_0830;
 /// The Gaussian 4×4 problem of most core cases.
 const GAUSS_4X4: ExplainSpec = wide(4, StreamSpec::Gaussian(3_000.0, 0.4), 42);
 /// The large-bundle Gaussian 6×6 problem.
