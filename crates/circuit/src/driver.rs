@@ -11,9 +11,9 @@
 /// With that, the driven link is linear and time-invariant and its rails
 /// are constant within a clock cycle, so
 /// [`TsvLink::simulate`](crate::TsvLink::simulate) collapses each cycle
-/// into one precomputed affine map: `(nodes + RL branches + vias) ×
-/// steps` backward-Euler steps once per stream, then one dense mat-vec
-/// per word.
+/// into one affine map, built once per stream from one backward-Euler
+/// step per node, RL branch and via raised to the cycle, and prices the
+/// whole stream from lagged bit co-occurrence counts.
 ///
 /// # Examples
 ///

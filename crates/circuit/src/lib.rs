@@ -9,7 +9,8 @@
 //!
 //! * [`mna`] — a small modified-nodal-analysis transient engine
 //!   (resistors, capacitors, series RL branches, backward-Euler
-//!   companion models, dense LU, and the per-cycle superposition map);
+//!   companion models, dense LU, and the per-cycle map with its lag
+//!   kernels);
 //! * [`DriverModel`] — a CMOS driver macromodel (switched pull-up/-down
 //!   resistance, output capacitance, leakage current);
 //! * [`TsvLink`] — an `n`-section π ladder built from a
@@ -23,14 +24,17 @@
 //! linear and time-invariant, and its rails hold for a whole clock
 //! cycle, so by superposition one cycle is one fixed affine map of the
 //! state (node voltages and RL branch currents) and the rail voltages.
-//! [`TsvLink::simulate`] measures that map once per call with the
-//! backward-Euler step itself, in `(nodes + RL branches + vias) × steps`
-//! steps: 3 072 for the 3-section 4×4 link of Fig. 6 at 24 steps per
-//! cycle, the cost of about 128 stepwise cycles. Each word then costs
-//! one dense mat-vec of `(state + vias)²` ≈ 16 k multiply-adds for that
-//! link, instead of 24 LU solves with their history updates. The map is
-//! exact up to rounding: energies agree with step-by-step integration to
-//! about 1e-13 relative.
+//! [`TsvLink::simulate`] measures one backward-Euler step of that map
+//! once per call, `nodes + RL branches + vias` single steps (128 for the
+//! 3-section 4×4 link of Fig. 6), and raises it to the cycle's 24 steps
+//! in five dense products. A high bit's supply charge in a cycle is
+//! linear in the rails of that cycle and of the cycles before it, so a
+//! stream's dynamic energy is a sum of Frobenius products of the map's
+//! lag kernels with lagged bit co-occurrence counts of the stream: the
+//! paper's `⟨T′,C′⟩` form carried over the link's settling tail, 13
+//! cycles on that link at 3 GHz. No word is simulated on its own. The
+//! result is exact up to rounding: energies agree with step-by-step
+//! integration to 1e-13 relative or better on random streams.
 //!
 //! # Examples
 //!
