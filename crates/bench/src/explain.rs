@@ -570,7 +570,7 @@ pub fn render_json(report: &ExplainReport, top: usize, cmp: Option<&CompareRepor
             .u64("row", (t.line / spec.cols) as u64)
             .u64("col", (t.line % spec.cols) as u64)
             .u64("bit", t.bit as u64)
-            .str("inverted", if t.inverted { "true" } else { "false" })
+            .bool("inverted", t.inverted)
             .f64("self_charge", t.self_charge)
             .f64("coupling_charge", t.coupling_charge)
             .f64("total", t.total());
