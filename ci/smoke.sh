@@ -105,6 +105,12 @@ cargo run --release --quiet --offline \
 step "History gate fixtures hold their exit codes"
 expect 0 "$BIN" history tests/data/history_steady.jsonl --gate-detect
 expect 1 "$BIN" history tests/data/history_regressed.jsonl --gate-detect
+# Without a flag, history prints the gate's table and exits 0.
+expect 0 "$BIN" history tests/data/history_regressed.jsonl > "$OUT/history-regressed.txt"
+grep -q 'REGRESSED@eeee555' "$OUT/history-regressed.txt"
+# The trailing-window trend is gone, and with it both --window flags.
+expect 2 "$BIN" history --window 5
+expect 2 "$BIN" dash --window 5
 
 # converged X.jsonl N: its trace report (X.txt) shows N restart series
 # and its JSON (X.json) carries the trace schema.

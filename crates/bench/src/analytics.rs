@@ -1,20 +1,21 @@
 //! Cross-run changepoint analytics over the history ledger, and the
 //! regression gate built on them.
 //!
-//! [`crate::history`] compares the *latest* record with a trailing
-//! window — good for "did this run move", blind to "when did the
-//! trend shift". This module adds a std-only changepoint detector that
-//! looks at every series (one `(kind, case, threads)` triple) two
+//! Every series (one `(kind, case, threads)` triple) is judged two
 //! ways, with one significance check:
 //!
-//! * [`detect`] (`tsv3d history --detect`, `tsv3d dash`) shows history:
-//!   it scans every split of a series and reports the best-fitting
-//!   one — **steady**, **improved@rev** or **regressed@rev** — naming
-//!   the git revision that started the new regime;
-//! * [`gate`] (`tsv3d history --gate-detect`) judges the **newest**
-//!   record against up to [`WINDOW_CAP`] records before it, so an old
-//!   speed-up cannot mask a new regression and a regression that later
-//!   runs confirmed as the new level does not fail every later run.
+//! * [`detect`] (`tsv3d history --detect`, dash's verdict table) shows
+//!   history: it scans every split of a series and reports the
+//!   best-fitting one — **steady**, **improved@rev** or
+//!   **regressed@rev** — naming the git revision that started the new
+//!   regime;
+//! * [`judge_newest`] (`tsv3d history`, dash's Δ column) judges the
+//!   **newest** record against up to [`WINDOW_CAP`] records before it,
+//!   so an old speed-up cannot mask a new regression and a regression
+//!   that later runs confirmed as the new level does not fail every
+//!   later run. A steady series carries that record's delta too.
+//!   [`gate`] (`tsv3d history --gate-detect`) is this view, refused
+//!   while a gated record holds a non-positive median.
 //!
 //! The check behind both (`split_effect`) is a two-window median
 //! split with a rank-based significance guard:
@@ -37,7 +38,7 @@
 //! quiet until there is real history. Everything is a pure function of
 //! the ledger text: no clock, no RNG, byte-deterministic output.
 
-use crate::history::{group_records, median_of, HistoryRecord, Ledger};
+use crate::history::{group_records, HistoryRecord, Ledger};
 use crate::json::ObjectWriter;
 
 /// Minimum records on the left (old-regime) side of a candidate split.
@@ -116,6 +117,10 @@ pub struct SeriesAnalysis {
     pub points: usize,
     /// The detector's verdict.
     pub verdict: SeriesVerdict,
+    /// Under [`judge_newest`]: the newest record's split against the
+    /// window before it, whenever that window's median is positive.
+    /// `None` under [`detect`].
+    pub newest: Option<Split>,
 }
 
 /// Per-series verdicts over both tracked metrics.
@@ -170,15 +175,25 @@ fn rank_fraction(left: &[f64], right: &[f64], positive: bool) -> f64 {
     score / (left.len() * right.len()) as f64
 }
 
-/// A significant split: `(split_index, before_median, after_median,
-/// delta_pct)`.
+/// A split: `(split_index, before_median, after_median, delta_pct)`.
 pub type Split = (usize, f64, f64, f64);
 
+/// The median of a non-empty slice (sorted in place).
+fn median_of(values: &mut [f64]) -> f64 {
+    values.sort_by(f64::total_cmp);
+    let n = values.len();
+    if n % 2 == 1 {
+        values[n / 2]
+    } else {
+        (values[n / 2 - 1] + values[n / 2]) / 2.0
+    }
+}
+
 /// The check every split must pass: `(before_median, after_median,
-/// delta_pct)` when the `right` median moved more than `threshold_pct`
-/// from a positive `left` median and the rank guard agrees on the
-/// direction; `None` otherwise.
-fn split_effect(left: &[f64], right: &[f64], threshold_pct: f64) -> Option<(f64, f64, f64)> {
+/// delta_pct, significant)` from a positive `left` median (`None`
+/// otherwise), significant when the `right` median moved more than
+/// `threshold_pct` and the rank guard agrees on the direction.
+fn split_effect(left: &[f64], right: &[f64], threshold_pct: f64) -> Option<(f64, f64, f64, bool)> {
     let before = median_of(&mut left.to_vec());
     let after = median_of(&mut right.to_vec());
     if before <= 0.0 {
@@ -189,7 +204,7 @@ fn split_effect(left: &[f64], right: &[f64], threshold_pct: f64) -> Option<(f64,
     // flipping on the last ulp of the division.
     let significant = delta_pct.abs() > threshold_pct + 1e-6
         && rank_fraction(left, right, delta_pct > 0.0) >= RANK_FRACTION;
-    significant.then_some((before, after, delta_pct))
+    Some((before, after, delta_pct, significant))
 }
 
 /// Total absolute deviation of `values` from `median`.
@@ -215,7 +230,8 @@ pub fn detect_split(values: &[f64], threshold_pct: f64) -> Option<Split> {
     for split in MIN_LEFT..=(n - MIN_RIGHT) {
         let left = &values[split.saturating_sub(WINDOW_CAP)..split];
         let right = &values[split..(split + WINDOW_CAP).min(n)];
-        let Some((before, after, delta_pct)) = split_effect(left, right, threshold_pct) else {
+        let Some((before, after, delta_pct, true)) = split_effect(left, right, threshold_pct)
+        else {
             continue;
         };
         let deviation = spread(left, before) + spread(right, after);
@@ -230,27 +246,13 @@ pub fn detect_split(values: &[f64], threshold_pct: f64) -> Option<Split> {
     best.map(|(split, _)| split)
 }
 
-/// Judges the newest value against up to [`WINDOW_CAP`] values before
-/// it with the same `split_effect` check: the split [`gate`] looks at.
-fn newest_split(values: &[f64], threshold_pct: f64) -> Option<Split> {
-    let newest = values.len().checked_sub(MIN_RIGHT)?;
-    if newest < MIN_LEFT {
-        return None;
-    }
-    let left = &values[newest.saturating_sub(WINDOW_CAP)..newest];
-    split_effect(left, &values[newest..], threshold_pct)
-        .map(|(before, after, delta_pct)| (newest, before, after, delta_pct))
-}
-
-/// How a series is searched for its split.
-type FindSplit = fn(&[f64], f64) -> Option<Split>;
-
-/// Runs `find` over one metric extracted from a record series.
+/// Judges one metric extracted from a record series: its newest record
+/// when `at_newest`, its best-fitting changepoint otherwise.
 fn analyze_series(
     records: &[&HistoryRecord],
     metric: impl Fn(&HistoryRecord) -> Option<f64>,
     threshold_pct: f64,
-    find: FindSplit,
+    at_newest: bool,
 ) -> SeriesAnalysis {
     let series: Vec<(f64, &HistoryRecord)> = records
         .iter()
@@ -261,10 +263,25 @@ fn analyze_series(
         return SeriesAnalysis {
             points,
             verdict: SeriesVerdict::Insufficient,
+            newest: None,
         };
     }
     let values: Vec<f64> = series.iter().map(|(v, _)| *v).collect();
-    let verdict = match find(&values, threshold_pct) {
+    let (found, newest) = if at_newest {
+        // The newest value against up to WINDOW_CAP values before it.
+        let last = points - MIN_RIGHT;
+        let left = &values[last.saturating_sub(WINDOW_CAP)..last];
+        match split_effect(left, &values[last..], threshold_pct) {
+            Some((before, after, delta_pct, significant)) => {
+                let split = (last, before, after, delta_pct);
+                (significant.then_some(split), Some(split))
+            }
+            None => (None, None),
+        }
+    } else {
+        (detect_split(&values, threshold_pct), None)
+    };
+    let verdict = match found {
         None => SeriesVerdict::Steady,
         Some((split, before, after, delta_pct)) => {
             let first_new = series[split].1;
@@ -283,12 +300,16 @@ fn analyze_series(
             }
         }
     };
-    SeriesAnalysis { points, verdict }
+    SeriesAnalysis {
+        points,
+        verdict,
+        newest,
+    }
 }
 
-/// Judges every series of the ledger with `find`, sorted by series
-/// key for stable output.
-fn judge(ledger: &Ledger, threshold_pct: f64, find: FindSplit) -> Vec<CaseVerdicts> {
+/// Judges every series of the ledger, sorted by series key for stable
+/// output.
+fn judge(ledger: &Ledger, threshold_pct: f64, at_newest: bool) -> Vec<CaseVerdicts> {
     group_records(ledger)
         .into_iter()
         .map(|((kind, case, threads), records)| CaseVerdicts {
@@ -296,8 +317,13 @@ fn judge(ledger: &Ledger, threshold_pct: f64, find: FindSplit) -> Vec<CaseVerdic
             case,
             threads,
             runs: records.len(),
-            wall: analyze_series(&records, |r| Some(r.median_ns), threshold_pct, find),
-            alloc: analyze_series(&records, |r| r.alloc_bytes_per_iter, threshold_pct, find),
+            wall: analyze_series(&records, |r| Some(r.median_ns), threshold_pct, at_newest),
+            alloc: analyze_series(
+                &records,
+                |r| r.alloc_bytes_per_iter,
+                threshold_pct,
+                at_newest,
+            ),
         })
         .collect()
 }
@@ -305,14 +331,21 @@ fn judge(ledger: &Ledger, threshold_pct: f64, find: FindSplit) -> Vec<CaseVerdic
 /// Shows each series' history: its best-fitting changepoint, whenever
 /// it happened.
 pub fn detect(ledger: &Ledger, threshold_pct: f64) -> Vec<CaseVerdicts> {
-    judge(ledger, threshold_pct, detect_split)
+    judge(ledger, threshold_pct, false)
 }
 
-/// The regression gate: judges each series' newest record against up
-/// to [`WINDOW_CAP`] records before it.
+/// The ledger's verdict: judges each series' newest record against up
+/// to [`WINDOW_CAP`] records before it, and keeps that split in
+/// [`SeriesAnalysis::newest`] for steady series too.
 ///
 /// An allocation window whose median is zero (an allocation-free case)
 /// skips that comparison.
+pub fn judge_newest(ledger: &Ledger, threshold_pct: f64) -> Vec<CaseVerdicts> {
+    judge(ledger, threshold_pct, true)
+}
+
+/// The regression gate: [`judge_newest`] over a ledger whose gated
+/// records are usable.
 ///
 /// # Errors
 ///
@@ -331,7 +364,7 @@ pub fn gate(ledger: &Ledger, threshold_pct: f64) -> Result<Vec<CaseVerdicts>, Ve
         .map(|((kind, case, threads), _)| series_label(&kind, &case, threads))
         .collect();
     if bad.is_empty() {
-        Ok(judge(ledger, threshold_pct, newest_split))
+        Ok(judge_newest(ledger, threshold_pct))
     } else {
         Err(bad)
     }
@@ -339,7 +372,10 @@ pub fn gate(ledger: &Ledger, threshold_pct: f64) -> Result<Vec<CaseVerdicts>, Ve
 
 fn verdict_text(analysis: &SeriesAnalysis) -> String {
     match &analysis.verdict {
-        SeriesVerdict::Steady => "steady".to_string(),
+        SeriesVerdict::Steady => match analysis.newest {
+            Some((.., delta_pct)) => format!("steady ({delta_pct:+.1}%)"),
+            None => "steady".to_string(),
+        },
         SeriesVerdict::Insufficient => format!("insufficient ({} pts)", analysis.points),
         SeriesVerdict::Improved(cp) => {
             format!("IMPROVED@{} ({:+.1}%)", cp.git_rev, cp.delta_pct)
@@ -389,6 +425,10 @@ fn series_json(analysis: &SeriesAnalysis) -> String {
             .f64("before_median", cp.before_median)
             .f64("after_median", cp.after_median)
             .f64("delta_pct", cp.delta_pct);
+    } else if let Some((_, before, after, delta_pct)) = analysis.newest {
+        w.f64("before_median", before)
+            .f64("after_median", after)
+            .f64("delta_pct", delta_pct);
     }
     w.finish()
 }
@@ -437,7 +477,6 @@ mod tests {
             median_ns: median,
             p95_ns: None,
             alloc_bytes_per_iter: alloc,
-            wall_s: None,
             threads: 4,
             available_parallelism: None,
         }
@@ -446,13 +485,9 @@ mod tests {
     fn ledger_of(medians: &[f64]) -> Ledger {
         let mut ledger = Ledger::default();
         for (i, &m) in medians.iter().enumerate() {
-            ledger.records.push(record(
-                "case_a",
-                i as u64 + 1,
-                &format!("rev{i}"),
-                m,
-                None,
-            ));
+            ledger
+                .records
+                .push(record("case_a", i as u64 + 1, &format!("rev{i}"), m, None));
         }
         ledger
     }
@@ -477,7 +512,13 @@ mod tests {
 
     #[test]
     fn a_steady_noisy_series_stays_steady() {
-        let ledger = ledger_of(&[1_000_000.0, 1_020_000.0, 990_000.0, 1_005_000.0, 1_010_000.0]);
+        let ledger = ledger_of(&[
+            1_000_000.0,
+            1_020_000.0,
+            990_000.0,
+            1_005_000.0,
+            1_010_000.0,
+        ]);
         let reports = detect(&ledger, DEFAULT_DETECT_PCT);
         assert_eq!(reports[0].wall.verdict, SeriesVerdict::Steady);
         assert!(!reports[0].regressed());
@@ -631,8 +672,14 @@ mod tests {
         let cases = doc.get("cases").and_then(JsonValue::as_array).unwrap();
         assert_eq!(cases.len(), 2);
         let wall = cases[0].get("wall_ns").unwrap();
-        assert_eq!(wall.get("verdict").and_then(JsonValue::as_str), Some("regressed"));
-        assert_eq!(wall.get("git_rev").and_then(JsonValue::as_str), Some("rev4"));
+        assert_eq!(
+            wall.get("verdict").and_then(JsonValue::as_str),
+            Some("regressed")
+        );
+        assert_eq!(
+            wall.get("git_rev").and_then(JsonValue::as_str),
+            Some("rev4")
+        );
         assert_eq!(wall.get("index").and_then(JsonValue::as_u64), Some(4));
     }
 

@@ -98,33 +98,31 @@ Options:
 pub const HISTORY_USAGE: &str = "\
 Usage: tsv3d history [file.jsonl] [options]
 
-Analyzes the cross-run ledger (default results/history.jsonl) that
-`tsv3d bench` and instrumented experiment runs append to: one
-tsv3d-history/v1 record per case per run. A series is one (kind, case,
-threads) triple. Renders a per-series trend table comparing each
-series' latest record against the median of the trailing window;
-malformed ledger lines are skipped and counted.
+Judges the cross-run ledger (default results/history.jsonl) that
+`tsv3d bench` appends to: one tsv3d-history/v1 record per case per
+run. A series is one (kind, case, threads) triple. Renders one table:
+each series' newest record, on wall time and allocated bytes, against
+the median of up to 8 records before it, with the rank-significance
+guard of --detect (REGRESSED@rev, IMPROVED@rev, steady with its delta,
+or insufficient below 5 records). Malformed ledger lines are skipped
+and counted.
 
 Options:
-  --window K            trailing records to take the median over
-                        (default 5)
   --case SUBSTR         only show cases whose name contains SUBSTR
-  --detect              show history: scan each series' full wall and
-                        alloc record with a two-window median split +
-                        rank-significance guard and report its
+  --detect              show history instead: scan each series' full
+                        wall and alloc record with a two-window median
+                        split + rank-significance guard and report its
                         best-fitting changepoint (steady /
                         improved@rev / regressed@rev); series with
                         fewer than 5 records are `insufficient`
   --detect-pct PCT      changepoint effect-size threshold, percent
                         (default 10; implies --detect)
-  --gate-detect         the regression gate: judge each series' newest
-                        record against up to 8 records before it with
-                        the same check, and exit 1 if any regressed;
-                        a non-positive median_ns among those records
-                        exits 2 (BAD-BASELINE). Series with fewer than
-                        5 records are never gated
-  --format json|text    output format (default text); with --detect or
-                        --gate-detect, json emits one
+  --gate-detect         the regression gate: the same table, exiting 1
+                        if any newest record regressed; a non-positive
+                        median_ns among the gated records exits 2
+                        (BAD-BASELINE). Series with fewer than 5
+                        records are never gated
+  --format json|text    output format (default text); json emits one
                         tsv3d-history-detect/v1 object
 ";
 
@@ -134,8 +132,8 @@ Usage: tsv3d dash [options]
 
 Renders the unified observability dashboard: one self-contained HTML
 page (inline CSS, inline SVGs, no scripts, no external assets) fusing
-the BENCH_<case>.json artifacts, the history ledger's trailing-window
-trends and changepoint verdicts, an optional trace's flamegraph and
+the BENCH_<case>.json artifacts, the history ledger's changepoint
+verdicts and newest-record deltas, an optional trace's flamegraph and
 convergence plot, the built-in attribution heatmap, the committed
 experiment artifacts — plus a machine-readable tsv3d-dash/v1 JSON
 index with --format json.
@@ -157,8 +155,6 @@ Options:
                         artifacts to list (default results)
   --out FILE            HTML output path (default
                         results/dashboard.html)
-  --window K            trailing records in the trend window
-                        (default 5)
   --detect-pct PCT      changepoint effect-size threshold, percent
                         (default 10)
   --format json|text    output format (default text); text prints a
@@ -301,10 +297,9 @@ pub const SUBCOMMANDS: [Subcommand; 5] = [
     },
     Subcommand {
         name: "history",
-        about: "ledger trends, changepoints and the regression gate",
+        about: "ledger verdicts, changepoints and the regression gate",
         usage: HISTORY_USAGE,
         flags: &[
-            ("--window", One),
             ("--case", One),
             ("--detect", Switch),
             ("--detect-pct", One),
@@ -324,7 +319,6 @@ pub const SUBCOMMANDS: [Subcommand; 5] = [
             ("--trace", One),
             ("--artifacts", One),
             ("--out", One),
-            ("--window", One),
             ("--detect-pct", One),
             ("--format", One),
         ],
@@ -716,9 +710,6 @@ fn run_bench(args: &Args) -> Result<i32, Fail> {
                     .mem
                     .as_ref()
                     .map(|m| m.median_iter_bytes as f64),
-                // Bench cases summarise per-iteration timing; total
-                // wall time belongs to run records.
-                wall_s: None,
                 threads: r.threads,
                 available_parallelism: r.available_parallelism,
             })
@@ -832,10 +823,9 @@ fn run_explain(args: &Args) -> Result<i32, Fail> {
 
 /// Runs `tsv3d history`.
 fn run_history(args: &Args) -> Result<i32, Fail> {
-    let window = args.positive("--window")?.unwrap_or(5);
     let detect_pct = args.pct("--detect-pct")?;
     let gate_detect = args.switch("--gate-detect");
-    let detect = args.switch("--detect") || detect_pct.is_some() || gate_detect;
+    let detect = !gate_detect && (args.switch("--detect") || detect_pct.is_some());
     let detect_pct = detect_pct.unwrap_or(analytics::DEFAULT_DETECT_PCT);
     let json_format = args.json_format()?;
     let path = Path::new(args.positional().unwrap_or("results/history.jsonl"));
@@ -856,36 +846,32 @@ fn run_history(args: &Args) -> Result<i32, Fail> {
             ledger.records.len()
         );
     }
-    if !detect {
-        let rows = history::analyze(&ledger, window);
-        if json_format {
-            println!("{}", history::render_json(&rows, &ledger, window));
-        } else {
-            print!("{}", history::render_table(&rows, window));
-        }
-        return Ok(0);
-    }
-    let reports = if gate_detect {
+    let reports = if detect {
+        analytics::detect(&ledger, detect_pct)
+    } else {
         match analytics::gate(&ledger, detect_pct) {
             Ok(reports) => reports,
             Err(bad) => {
                 // A corrupt row silently disabling the gate is worse
-                // than a failing gate: treat it as a usage error.
+                // than a failing gate: the gate treats it as a usage
+                // error, the plain view as a warning.
                 eprintln!(
-                    "error: BAD-BASELINE: non-positive median_ns among the gated records of {}; \
+                    "{}: BAD-BASELINE: non-positive median_ns among the gated records of {}; \
                      fix or drop those ledger lines",
+                    if gate_detect { "error" } else { "warning" },
                     bad.join(", ")
                 );
-                return Ok(2);
+                if gate_detect {
+                    return Ok(2);
+                }
+                analytics::judge_newest(&ledger, detect_pct)
             }
         }
-    } else {
-        analytics::detect(&ledger, detect_pct)
     };
     if json_format {
         println!("{}", analytics::render_json(&reports, &ledger, detect_pct));
     } else {
-        if gate_detect {
+        if !detect {
             println!(
                 "gate: each series' newest record vs. up to {} records before it",
                 analytics::WINDOW_CAP
@@ -910,11 +896,9 @@ fn run_history(args: &Args) -> Result<i32, Fail> {
 
 /// Runs `tsv3d dash`.
 fn run_dash(args: &Args) -> Result<i32, Fail> {
-    let defaults = dash::DashOptions::default();
-    let opts = dash::DashOptions {
-        window: args.positive("--window")?.unwrap_or(defaults.window),
-        detect_pct: args.pct("--detect-pct")?.unwrap_or(defaults.detect_pct),
-    };
+    let detect_pct = args
+        .pct("--detect-pct")?
+        .unwrap_or(analytics::DEFAULT_DETECT_PCT);
     let json_format = args.json_format()?;
     let bench_dir = args.path_or("--bench-dir", "results/bench");
     let artifacts_dir = args.path_or("--artifacts", "results");
@@ -950,7 +934,7 @@ fn run_dash(args: &Args) -> Result<i32, Fail> {
     }
     sources.artifacts = scan("artifacts", &artifacts_dir, |name| name.ends_with(".txt"));
 
-    let data = dash::build(&sources, &opts);
+    let data = dash::build(&sources, detect_pct);
     let html = dash::render_html(&data);
     create_dir(out.parent().unwrap_or(Path::new("")))?;
     write(&out, &html)?;
@@ -1243,9 +1227,8 @@ mod tests {
     #[test]
     fn history_usage_errors_return_2() {
         for bad in [
-            vec!["--window"],
-            vec!["--window", "0"],
-            vec!["--window", "five"],
+            // The trend window is gone: even a valid count is refused.
+            vec!["--window", "5"],
             vec!["--detect-pct"],
             vec!["--detect-pct", "-1"],
             vec!["--detect-pct", "inf"],
@@ -1321,8 +1304,10 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let (x, y) = (dir.join("x.jsonl"), dir.join("y.jsonl"));
         for (path, name) in [(&x, "x"), (&y, "y")] {
-            let line = format!("{{\"t\":1.0,\"event\":\"span\",\"name\":\"{name}\",\
-                                \"seconds\":0.5}}");
+            let line = format!(
+                "{{\"t\":1.0,\"event\":\"span\",\"name\":\"{name}\",\
+                                \"seconds\":0.5}}"
+            );
             std::fs::write(path, line).unwrap();
         }
         let (x, y) = (x.to_str().unwrap(), y.to_str().unwrap());
@@ -1348,7 +1333,10 @@ mod tests {
         std::fs::write(&path, &text).unwrap();
         let file = path.to_str().unwrap();
         assert_eq!(run("trace", &[file]), 0);
-        assert_eq!(run("trace", &[file, "--compare", file, "--format", "json"]), 0);
+        assert_eq!(
+            run("trace", &[file, "--compare", file, "--format", "json"]),
+            0
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

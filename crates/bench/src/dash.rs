@@ -1,7 +1,7 @@
 //! `tsv3d dash` — the unified observability dashboard.
 //!
-//! Per-case `BENCH_*.json` artifacts, the history ledger, trace
-//! flamegraphs, convergence reports and attribution heatmaps each
+//! Per-case `BENCH_*.json` artifacts, the history ledger's verdicts,
+//! trace flamegraphs, convergence reports and attribution heatmaps each
 //! answer one question through one subcommand. This
 //! module fuses them into a **single self-contained HTML page** —
 //! inline CSS, inline SVGs reusing the [`crate::svg`] primitives, no
@@ -22,7 +22,7 @@
 
 use crate::analytics::{self, CaseVerdicts, SeriesVerdict};
 use crate::explain::{self, ExplainSpec, Method};
-use crate::history::{self, group_records, Ledger, TrendRow, TrendStatus};
+use crate::history::{self, group_records, Ledger};
 use crate::json::ObjectWriter;
 use crate::report;
 use crate::svg::{fnv1a, sparkline, xml_escape};
@@ -50,24 +50,6 @@ pub struct DashSources {
     /// `(filename, text)` of committed experiment `.txt` artifacts,
     /// sorted by filename.
     pub artifacts: Vec<(String, String)>,
-}
-
-/// Build knobs.
-#[derive(Debug, Clone)]
-pub struct DashOptions {
-    /// Trailing-window size for the trend columns.
-    pub window: usize,
-    /// Changepoint effect-size threshold, percent.
-    pub detect_pct: f64,
-}
-
-impl Default for DashOptions {
-    fn default() -> Self {
-        Self {
-            window: 5,
-            detect_pct: analytics::DEFAULT_DETECT_PCT,
-        }
-    }
 }
 
 /// Reads every file in `dir` whose name passes `keep`, in sorted
@@ -119,7 +101,7 @@ pub struct BenchRow {
     /// Timestamp the artifact was stamped with, when present.
     pub unix_time_s: Option<u64>,
     /// `--threads` the artifact was measured at, when stamped; picks
-    /// the ledger series its trend comes from.
+    /// the ledger series its sparkline and delta come from.
     pub threads: Option<u64>,
 }
 
@@ -164,18 +146,15 @@ pub struct DashData {
     pub bench_skipped: Vec<String>,
     /// Ledger path label.
     pub history_path: String,
-    /// Whether a ledger was readable at all.
-    pub have_history: bool,
     /// The parsed ledger (empty when absent).
     pub ledger: Ledger,
-    /// Trailing-window size used for the trend columns.
-    pub window: usize,
     /// Changepoint threshold used, percent.
     pub detect_pct: f64,
-    /// Trailing-window trend rows (informational, no gate).
-    pub trends: Vec<TrendRow>,
     /// Changepoint verdicts per series (`(kind, case, threads)`).
     pub verdicts: Vec<CaseVerdicts>,
+    /// The newest-record verdicts `tsv3d history` prints, for the
+    /// bench table's delta column.
+    pub newest: Vec<CaseVerdicts>,
     /// Flamegraph section, when a trace was supplied.
     pub flamegraph: Option<Section>,
     /// Convergence section, when the trace holds epoch series.
@@ -191,8 +170,8 @@ pub struct DashData {
 
 fn parse_bench_file(file: &str, text: &str) -> Result<BenchRow, String> {
     let value = crate::json::parse(text).map_err(|e| format!("{file}: {e}"))?;
-    let summary = report::case_summary(&value)
-        .ok_or_else(|| format!("{file}: not a bench artifact"))?;
+    let summary =
+        report::case_summary(&value).ok_or_else(|| format!("{file}: not a bench artifact"))?;
     Ok(BenchRow {
         file: file.to_string(),
         case: summary.case,
@@ -226,9 +205,7 @@ fn reference_heatmap() -> Section {
     let spec = ExplainSpec::default();
     let (svg, note) = match spec.build_problem().and_then(|problem| {
         spec.resolve_assignment(&problem, Method::Greedy, None)
-            .map(|(method, assignment)| {
-                explain::analyze(&spec, &problem, method, assignment)
-            })
+            .map(|(method, assignment)| explain::analyze(&spec, &problem, method, assignment))
     }) {
         Ok(report) => {
             let saved =
@@ -250,9 +227,10 @@ fn reference_heatmap() -> Section {
     }
 }
 
-/// Ingests the sources into the dashboard model. Pure: same sources +
-/// same options → identical `DashData`.
-pub fn build(sources: &DashSources, opts: &DashOptions) -> DashData {
+/// Ingests the sources into the dashboard model, judging the ledger at
+/// the `detect_pct` changepoint threshold. Pure: same sources + same
+/// threshold → identical `DashData`.
+pub fn build(sources: &DashSources, detect_pct: f64) -> DashData {
     let mut bench = Vec::new();
     let mut bench_skipped = Vec::new();
     for (file, text) in &sources.bench_files {
@@ -262,12 +240,12 @@ pub fn build(sources: &DashSources, opts: &DashOptions) -> DashData {
         }
     }
 
-    let (history_path, have_history, ledger) = match &sources.history {
-        Some((path, text)) => (path.clone(), true, history::parse_ledger(text)),
-        None => (String::new(), false, Ledger::default()),
+    let (history_path, ledger) = match &sources.history {
+        Some((path, text)) => (path.clone(), history::parse_ledger(text)),
+        None => (String::new(), Ledger::default()),
     };
-    let trends = history::analyze(&ledger, opts.window);
-    let verdicts = analytics::detect(&ledger, opts.detect_pct);
+    let verdicts = analytics::detect(&ledger, detect_pct);
+    let newest = analytics::judge_newest(&ledger, detect_pct);
 
     let (mut flame, mut conv) = (None, None);
     if let Some((path, text)) = &sources.trace {
@@ -279,7 +257,10 @@ pub fn build(sources: &DashSources, opts: &DashOptions) -> DashData {
             note: format!("{count}, {lines} line(s), {skipped} skipped"),
         };
         let flame_svg = flamegraph::render_svg(&summary, flamegraph::Weighting::Time);
-        flame = Some(section(flame_svg, format!("{} span name(s)", summary.spans.len())));
+        flame = Some(section(
+            flame_svg,
+            format!("{} span name(s)", summary.spans.len()),
+        ));
         let series = summary.converge.series.len();
         if series > 0 {
             let svg = converge::render_svg(&summary.converge);
@@ -308,12 +289,10 @@ pub fn build(sources: &DashSources, opts: &DashOptions) -> DashData {
         bench,
         bench_skipped,
         history_path,
-        have_history,
         ledger,
-        window: opts.window,
-        detect_pct: opts.detect_pct,
-        trends,
+        detect_pct,
         verdicts,
+        newest,
         flamegraph: flame,
         converge: conv,
         heatmap: reference_heatmap(),
@@ -427,9 +406,17 @@ pub fn render_html(data: &DashData) -> String {
         "<p class=\"meta\">data as of {as_of} · {} bench artifact(s) from {} · \
          {} ledger record(s) from {} ({} line(s) skipped)</p>",
         data.bench.len(),
-        xml_escape(if data.bench_dir.is_empty() { "-" } else { &data.bench_dir }),
+        xml_escape(if data.bench_dir.is_empty() {
+            "-"
+        } else {
+            &data.bench_dir
+        }),
         data.ledger.records.len(),
-        xml_escape(if data.history_path.is_empty() { "-" } else { &data.history_path }),
+        xml_escape(if data.history_path.is_empty() {
+            "-"
+        } else {
+            &data.history_path
+        }),
         data.ledger.skipped,
     );
 
@@ -452,7 +439,10 @@ pub fn render_html(data: &DashData) -> String {
     let _ = write!(out, "<span class=\"bad\">{regressed} regressed</span>");
     let _ = write!(out, "<span class=\"good\">{improved} improved</span>");
     let _ = write!(out, "<span class=\"ok\">{steady} steady</span>");
-    let _ = write!(out, "<span class=\"dim\">{insufficient} insufficient</span>");
+    let _ = write!(
+        out,
+        "<span class=\"dim\">{insufficient} insufficient</span>"
+    );
     let _ = writeln!(
         out,
         "</p>\n<p class=\"meta\">changepoint detector: two-window median split, \
@@ -461,7 +451,7 @@ pub fn render_html(data: &DashData) -> String {
         analytics::RANK_FRACTION * 100.0
     );
 
-    // Bench table, joined with ledger trends and sparklines.
+    // Bench table, joined with ledger sparklines and newest deltas.
     out.push_str("<h2>Bench cases</h2>\n");
     if data.bench.is_empty() {
         out.push_str("<p class=\"meta\">no bench artifacts found</p>\n");
@@ -479,17 +469,12 @@ pub fn render_html(data: &DashData) -> String {
                 .map(|(_, records)| records.iter().map(|r| r.median_ns).collect())
                 .unwrap_or_default();
             let spark = sparkline(&medians, 140.0, 26.0, &spark_color(&row.case));
-            let trend = data
-                .trends
+            let delta = data
+                .newest
                 .iter()
-                .find(|t| row.is_series(&t.kind, &t.case, t.latest.threads));
-            let delta = trend.map_or_else(
-                || "-".to_string(),
-                |t| match t.status {
-                    TrendStatus::InsufficientWindow => "-".to_string(),
-                    _ => format!("{:+.1}%", t.delta_pct.unwrap_or(0.0)),
-                },
-            );
+                .find(|v| row.is_series(&v.kind, &v.case, v.threads))
+                .and_then(|v| v.wall.newest)
+                .map_or_else(|| "-".to_string(), |(.., pct)| format!("{pct:+.1}%"));
             let _ = writeln!(
                 out,
                 "<tr><td>{}</td><td class=\"num\">{}</td><td class=\"num\">{}</td>\
@@ -575,8 +560,8 @@ pub fn render_html(data: &DashData) -> String {
     }
     let _ = write!(
         out,
-        "generated by tsv3d dash (window {}, threshold {:.0}%)",
-        data.window, data.detect_pct
+        "generated by tsv3d dash (threshold {:.0}%)",
+        data.detect_pct
     );
     out.push_str("</footer>\n</body>\n</html>\n");
     out
@@ -608,17 +593,13 @@ pub fn render_json(data: &DashData) -> String {
         w.bool("flamegraph", data.flamegraph.is_some())
             .bool("converge", data.converge.is_some())
             .raw("heatmap", "true")
-        .u64("artifacts", data.artifacts.len() as u64);
+            .u64("artifacts", data.artifacts.len() as u64);
         w.finish()
     };
     let mut w = ObjectWriter::new();
     w.str("schema", DASH_SCHEMA)
-        .u64("window", data.window as u64)
         .f64("threshold_pct", data.detect_pct)
-        .f64(
-            "data_as_of",
-            data.data_as_of.map_or(f64::NAN, |t| t as f64),
-        )
+        .f64("data_as_of", data.data_as_of.map_or(f64::NAN, |t| t as f64))
         .u64("bench_files", data.bench.len() as u64)
         .u64("bench_skipped", data.bench_skipped.len() as u64)
         .u64("history_records", data.ledger.records.len() as u64)
@@ -636,6 +617,7 @@ pub fn render_json(data: &DashData) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analytics::DEFAULT_DETECT_PCT;
     use crate::json::{self, JsonValue};
 
     fn bench_text(case: &str, median: u64, rev: &str, t: u64) -> String {
@@ -694,7 +676,7 @@ mod tests {
 
     #[test]
     fn build_ingests_parses_and_detects() {
-        let data = build(&sources(), &DashOptions::default());
+        let data = build(&sources(), DEFAULT_DETECT_PCT);
         assert_eq!(data.bench.len(), 2);
         assert_eq!(data.bench_skipped, vec!["BENCH_junk.json".to_string()]);
         assert_eq!(data.bench[0].case, "case_a");
@@ -711,13 +693,13 @@ mod tests {
     #[test]
     fn html_is_byte_identical_across_builds() {
         let src = sources();
-        let base = render_html(&build(&src, &DashOptions::default()));
-        assert_eq!(render_html(&build(&src, &DashOptions::default())), base);
+        let base = render_html(&build(&src, DEFAULT_DETECT_PCT));
+        assert_eq!(render_html(&build(&src, DEFAULT_DETECT_PCT)), base);
     }
 
     #[test]
     fn html_is_self_contained_and_carries_every_section() {
-        let data = build(&sources(), &DashOptions::default());
+        let data = build(&sources(), DEFAULT_DETECT_PCT);
         let html = render_html(&data);
         assert!(html.starts_with("<!DOCTYPE html>"), "{}", &html[..60]);
         assert!(html.contains("<style>"), "inline CSS");
@@ -726,7 +708,10 @@ mod tests {
         // (the only URL anywhere is the inline-SVG xmlns).
         assert!(!html.contains("<link"), "no external stylesheets");
         assert!(!html.contains(" src="), "no external resources");
-        assert!(html.contains("data as of unix 200"), "provenance from inputs");
+        assert!(
+            html.contains("data as of unix 200"),
+            "provenance from inputs"
+        );
         assert!(html.contains("case_a"));
         assert!(html.contains("regressed@rev4"), "verdict surfaced");
         assert!(html.contains("<svg"), "inline SVGs");
@@ -740,21 +725,24 @@ mod tests {
     fn html_never_stamps_the_current_clock_or_revision() {
         // Render from empty sources: with no inputs there is no
         // provenance, so "data as of" must be unknown rather than now.
-        let data = build(&DashSources::default(), &DashOptions::default());
+        let data = build(&DashSources::default(), DEFAULT_DETECT_PCT);
         let html = render_html(&data);
         assert!(html.contains("data as of unknown"), "{html}");
     }
 
     #[test]
     fn json_index_pins_the_schema_and_counts() {
-        let data = build(&sources(), &DashOptions::default());
+        let data = build(&sources(), DEFAULT_DETECT_PCT);
         let doc = json::parse(&render_json(&data)).unwrap();
         assert_eq!(
             doc.get("schema").and_then(JsonValue::as_str),
             Some(DASH_SCHEMA)
         );
         assert_eq!(doc.get("bench_files").and_then(JsonValue::as_u64), Some(2));
-        assert_eq!(doc.get("bench_skipped").and_then(JsonValue::as_u64), Some(1));
+        assert_eq!(
+            doc.get("bench_skipped").and_then(JsonValue::as_u64),
+            Some(1)
+        );
         assert_eq!(
             doc.get("history_records").and_then(JsonValue::as_u64),
             Some(5)
@@ -785,8 +773,11 @@ mod tests {
         let mut src = sources();
         let spans = "{\"t\":1.0,\"event\":\"span\",\"name\":\"outer\",\"seconds\":1.0}\n";
         src.trace = Some(("run.jsonl".to_string(), spans.to_string()));
-        let data = build(&src, &DashOptions::default());
-        assert!(data.flamegraph.is_some() && data.converge.is_none(), "no epochs, no plot");
+        let data = build(&src, DEFAULT_DETECT_PCT);
+        assert!(
+            data.flamegraph.is_some() && data.converge.is_none(),
+            "no epochs, no plot"
+        );
         src.trace = Some((
             "run.jsonl".to_string(),
             spans.to_string()
@@ -794,7 +785,7 @@ mod tests {
                    \"temperature\":1.0,\"current_power\":2.0,\"best_power\":1.5,\
                    \"accept_rate\":0.5,\"swap_moves\":10,\"flip_moves\":10}\n",
         ));
-        let data = build(&src, &DashOptions::default());
+        let data = build(&src, DEFAULT_DETECT_PCT);
         let html = render_html(&data);
         assert!(html.contains("Flamegraph"), "{html}");
         assert!(html.contains("Convergence"), "{html}");

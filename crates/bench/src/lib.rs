@@ -20,9 +20,8 @@
 //!   nesting from interval containment, and `tsv3d trace --compare`,
 //!   the one run-to-run diff of span self time per call.
 //! * [`history`] — the cross-run ledger (`results/history.jsonl`,
-//!   schema `tsv3d-history/v1`): every bench invocation and experiment
-//!   run appends a compact summary row, and `tsv3d history` renders
-//!   per-series trailing-window trends.
+//!   schema `tsv3d-history/v1`): every bench invocation appends a
+//!   compact summary row per case.
 //! * [`flamegraph`] — deterministic, self-contained flamegraph SVGs
 //!   from the collapsed-stack output (`tsv3d trace --svg`), time- or
 //!   bytes-weighted.
@@ -38,13 +37,13 @@
 //! * [`analytics`] — changepoint detection over the ledger and the
 //!   one regression gate: a two-window median split with a rank-based
 //!   significance guard. `tsv3d history --detect` shows each series'
-//!   history as steady / improved@rev / regressed@rev;
-//!   `--gate-detect` judges each series' newest record against the
-//!   records before it, which is what CI gates on.
+//!   history as steady / improved@rev / regressed@rev; plain
+//!   `tsv3d history` judges each series' newest record against the
+//!   records before it, and `--gate-detect` gates CI on that verdict.
 //! * [`dash`] — the unified observability dashboard (`tsv3d dash`):
 //!   one self-contained, byte-deterministic HTML page (and a
 //!   `tsv3d-dash/v1` JSON index) fusing bench artifacts, ledger
-//!   trends + changepoint verdicts, the flamegraph, the convergence
+//!   deltas + changepoint verdicts, the flamegraph, the convergence
 //!   plot, the attribution heatmap and the committed experiment
 //!   artifacts.
 //! * [`svg`] — the shared deterministic-SVG primitives (document

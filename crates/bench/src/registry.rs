@@ -189,7 +189,7 @@ pub fn cases() -> Vec<BenchCase> {
         BenchCase {
             name: "core.bnb_2x4_proof",
             area: "core",
-            about: "branch-and-bound run to proof on the exact_2x4 sequential stream (2x4 min, p = 0.01, 20k cycles)",
+            about: "branch-and-bound run to proof on the exact_2x4 sequential stream (2x4 min, p = 0.01, 20k cycles); asserts the recorded optimum's power bits",
             setup: |_cfg| {
                 let problem = SEQ_2X4_MIN.build_problem().expect("bench problem builds");
                 Box::new(move |tel| {
@@ -200,6 +200,12 @@ pub fn cases() -> Vec<BenchCase> {
                     )
                     .expect("2x4 search starts");
                     assert!(o.proven_optimal, "2x4 proof ran out of nodes");
+                    assert_eq!(
+                        o.result.power.to_bits(),
+                        SEQ_2X4_MIN_OPTIMUM_BITS,
+                        "the proven optimum moved: power {:e}",
+                        o.result.power
+                    );
                     black_box(o.result.power);
                 })
             },
@@ -496,6 +502,10 @@ const FIG3_GAUSS_4X4: ExplainSpec = ExplainSpec {
 };
 /// `core.anneal_4x4_serial`'s power, as the annealer first returned it.
 const FIG3_GAUSS_4X4_POWER_BITS: u64 = 0x3d59_4ecf_57c1_f3f1;
+/// `core.bnb_2x4_proof`'s proven optimum (7.977052082856807e-14, at
+/// `3-,7-,4-,0-,1,6-,5,2-`). Its node count is not pinned, so a tighter
+/// bound stays free to lower it.
+const SEQ_2X4_MIN_OPTIMUM_BITS: u64 = 0x3d36_7412_61e1_c333;
 /// `circuit.simulate_4x4`'s dynamic energy, as the per-word cycle-map
 /// loop first computed it.
 const SENSOR_MUX_4X4_ENERGY_BITS: u64 = 0x3e0c_9f06_18c9_0830;

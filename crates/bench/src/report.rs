@@ -311,7 +311,6 @@ mod tests {
             median_ns: summary.median_ns,
             p95_ns: summary.p95_ns,
             alloc_bytes_per_iter: summary.mem_bytes,
-            wall_s: None,
             threads: report.threads,
             available_parallelism: report.available_parallelism,
         };

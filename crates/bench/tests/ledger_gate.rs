@@ -15,7 +15,6 @@ fn record(case: &str, t: u64, rev: &str, median: f64, alloc: Option<f64>) -> His
         median_ns: median,
         p95_ns: None,
         alloc_bytes_per_iter: alloc,
-        wall_s: None,
         threads: 4,
         available_parallelism: None,
     }

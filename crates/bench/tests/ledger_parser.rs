@@ -1,6 +1,7 @@
 //! Never-panic properties of the history ledger parser: arbitrary bytes
 //! and every truncation of a valid line either parse or are skipped
-//! and counted, and every non-blank line is one or the other.
+//! and counted, and every non-blank line is one or the other. Older
+//! rows that carry keys the schema no longer writes still parse.
 
 use proptest::prelude::*;
 use tsv3d_bench::history::{parse_ledger, HistoryRecord};
@@ -15,11 +16,24 @@ fn valid_line(median_ns: f64, threads: u64) -> String {
         median_ns,
         p95_ns: Some(median_ns * 1.25),
         alloc_bytes_per_iter: Some(4096.0),
-        wall_s: Some(2.5),
         threads,
         available_parallelism: Some(2),
     }
     .to_json_line()
+}
+
+#[test]
+fn an_experiment_run_row_with_its_wall_time_still_parses() {
+    // Verbatim, as experiment binaries appended it: the total wall time
+    // is a key the schema no longer writes.
+    let line = "{\"schema\":\"tsv3d-history/v1\",\"kind\":\"run\",\
+                \"case\":\"fig3_gaussian\",\"git_rev\":\"c26e2ca\",\
+                \"unix_time_s\":1754400000,\"median_ns\":2500000000,\
+                \"wall_s\":2.5,\"threads\":1,\"available_parallelism\":2}";
+    let ledger = parse_ledger(line);
+    assert_eq!((ledger.records.len(), ledger.skipped), (1, 0));
+    assert_eq!(ledger.records[0].kind, "run");
+    assert_eq!(ledger.records[0].median_ns, 2.5e9);
 }
 
 proptest! {

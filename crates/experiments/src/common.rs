@@ -145,18 +145,24 @@ mod tests {
 
     #[test]
     fn anneal_options_reach_the_proven_optimum_on_3x3() {
-        // The quality gate of the paper's optimiser: on 3x3 minimum-pitch
-        // instances of the paper's stream kinds, the figures' anneal
-        // budget ends at the branch-and-bound optimum. The gap is
+        // The quality gate of the paper's optimiser: on 3x3 instances of
+        // the paper's stream kinds, and on the seven 3x3 instances of
+        // Figs. 4 and 6 built as the figures build them, the figures'
+        // anneal budget ends at the branch-and-bound optimum. The gap is
         // checked both ways: B&B ranks leaves by their accumulated
         // prefix cost but reports `power`, so among exact ties the
         // annealer can end a few ulps lower.
+        use crate::fig4::{self, Fig4Scenario};
+        use crate::fig6::Fig6Stream;
         use tsv3d_bench::explain::{ExplainSpec, GeometryKind, StreamSpec};
-        for stream in [
+        use tsv3d_stats::gen::ImageSensor;
+        let mut problems: Vec<(String, AssignmentProblem)> = [
             StreamSpec::Sequential(0.01),
             StreamSpec::Gaussian(80.0, -0.3),
             StreamSpec::Gaussian(80.0, 0.5),
-        ] {
+        ]
+        .into_iter()
+        .map(|stream| {
             let spec = ExplainSpec {
                 rows: 3,
                 cols: 3,
@@ -166,14 +172,34 @@ mod tests {
                 seed: 1,
             };
             let p = spec.build_problem().expect("3x3 problem builds");
-            let exact = optimize::branch_and_bound(&p, &Default::default()).unwrap();
-            assert!(exact.proven_optimal, "{stream:?}: {} nodes", exact.nodes);
-            let annealed = optimize::anneal(&p, &anneal_options()).unwrap();
+            (format!("{stream:?}"), p)
+        })
+        .collect();
+        let sensor = ImageSensor::new(96, 64);
+        for scenario in [Fig4Scenario::RgbMux, Fig4Scenario::Grayscale] {
+            for (name, geometry) in [
+                ("min", TsvGeometry::itrs_2018_min()),
+                ("wide", TsvGeometry::wide_2018()),
+            ] {
+                let p = fig4::build_problem(scenario, geometry, &sensor, 0xF164);
+                problems.push((format!("Fig. 4 {} ({name})", scenario.label()), p));
+            }
+        }
+        for kind in [
+            Fig6Stream::RgbMuxRedundant,
+            Fig6Stream::RgbMuxCorrelator,
+            Fig6Stream::CouplingInvertRandom,
+        ] {
+            let stream = kind.stream(3_900, 0xF1_66);
+            let p = problem(&stream, cap_model(3, 3, TsvGeometry::itrs_2018_min()));
+            problems.push((format!("Fig. 6 {}", kind.label()), p));
+        }
+        for (name, p) in &problems {
+            let exact = optimize::branch_and_bound(p, &Default::default()).unwrap();
+            assert!(exact.proven_optimal, "{name}: {} nodes", exact.nodes);
+            let annealed = optimize::anneal(p, &anneal_options()).unwrap();
             let gap = annealed.power / exact.result.power - 1.0;
-            assert!(
-                gap.abs() <= 1e-9,
-                "{stream:?}: anneal/optimum - 1 = {gap:e}"
-            );
+            assert!(gap.abs() <= 1e-9, "{name}: anneal/optimum - 1 = {gap:e}");
         }
     }
 

@@ -10,6 +10,9 @@
 //! | `json` | JSON lines to `results/<binary>_telemetry.jsonl` (or `TSV3D_TELEMETRY_PATH`) |
 //! | `stderr` | human-readable events on stderr |
 //!
+//! A run leaves only its trace: the cross-run ledger
+//! (`results/history.jsonl`) is written by `tsv3d bench` alone.
+//!
 //! ```no_run
 //! let tel = tsv3d_experiments::obs::for_binary("fig3_gaussian");
 //! // ... run the experiment, passing `&tel` down; dropping `tel`
@@ -31,9 +34,6 @@
 
 pub use tsv3d_telemetry::{Span, TelemetryHandle, Value};
 
-use std::path::PathBuf;
-use std::sync::OnceLock;
-use tsv3d_bench::history;
 use tsv3d_telemetry::alloc;
 
 /// The process-wide counting allocator (see the module docs). Plain
@@ -41,21 +41,6 @@ use tsv3d_telemetry::alloc;
 /// counting.
 #[global_allocator]
 static GLOBAL_ALLOC: alloc::CountingAlloc = alloc::CountingAlloc::system();
-
-/// The binary name a [`Run`] records in its `run` history record: set
-/// once by the first [`for_binary_with`] call of the process.
-static RUN_BINARY: OnceLock<String> = OnceLock::new();
-
-/// The cross-run ledger path for experiment binaries: the opt-in
-/// `TSV3D_HISTORY` env var. Deliberately **no default** — `tsv3d bench`
-/// defaults to `results/history.jsonl`, but instrumented test runs and
-/// ad-hoc experiments must not grow the committed ledger unasked.
-fn history_path() -> Option<PathBuf> {
-    std::env::var("TSV3D_HISTORY")
-        .ok()
-        .filter(|p| !p.is_empty())
-        .map(PathBuf::from)
-}
 
 /// Builds the process-wide telemetry handle for one experiment binary
 /// from the `TSV3D_TELEMETRY` environment switch and announces the run
@@ -86,7 +71,6 @@ pub fn for_binary_with(binary: &str, seed: Option<u64>) -> Run {
             fields.push(("seed", Value::from(seed)));
         }
         tel.event("run.start", &fields);
-        let _ = RUN_BINARY.set(binary.to_string());
     }
     Run(tel)
 }
@@ -152,29 +136,6 @@ fn finish(tel: &TelemetryHandle) {
     tel.event("run.done", &fields);
     eprintln!("{}", tel.summary());
     tel.flush();
-    if let (Some(path), Some(binary)) = (history_path(), RUN_BINARY.get()) {
-        let record = history::HistoryRecord {
-            kind: "run".to_string(),
-            case: binary.clone(),
-            git_rev: tsv3d_bench::report::git_rev(),
-            unix_time_s: std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map_or(0, |d| d.as_secs()),
-            // A run record's "median" is its single wall time.
-            median_ns: tel.elapsed_seconds() * 1e9,
-            p95_ns: None,
-            alloc_bytes_per_iter: None,
-            wall_s: Some(tel.elapsed_seconds()),
-            threads: threads(),
-            available_parallelism: tsv3d_bench::report::available_parallelism(),
-        };
-        if let Err(err) = history::append(&path, &[record]) {
-            eprintln!(
-                "warning: cannot append run history to `{}`: {err}",
-                path.display()
-            );
-        }
-    }
 }
 
 #[cfg(test)]

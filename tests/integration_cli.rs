@@ -544,7 +544,6 @@ fn csv_writes_the_table_and_a_failed_write_exits_1() {
         .current_dir(&blocked)
         .env("TSV3D_TELEMETRY", "json")
         .env("TSV3D_TELEMETRY_PATH", &trace)
-        .env_remove("TSV3D_HISTORY")
         .output()
         .expect("binary runs");
     assert_eq!(out.status.code(), Some(1), "stdout: {}", stdout(&out));

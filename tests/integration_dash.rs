@@ -104,20 +104,30 @@ fn dashboard_html_is_self_contained_and_fuses_every_section() {
     let out = run_dash(path.to_str().unwrap(), &[]);
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
     let html = std::fs::read_to_string(&path).unwrap();
-    assert!(html.starts_with("<!DOCTYPE html>"), "{}", &html[..60.min(html.len())]);
+    assert!(
+        html.starts_with("<!DOCTYPE html>"),
+        "{}",
+        &html[..60.min(html.len())]
+    );
     // Self-containment: no scripts, no stylesheets, no referenced
     // assets. (Inline SVG xmlns URLs are declarations, not fetches.)
     assert!(!html.contains("<script"), "no JS");
     assert!(!html.contains("<link"), "no external CSS");
     assert!(!html.contains(" src="), "no referenced assets");
-    // Every panel made it in: bench cases, trend + changepoint
+    // Every panel made it in: bench cases, deltas + changepoint
     // verdicts from the ledger, the three figures, and the committed
     // experiment artifacts.
     assert!(html.contains("Bench cases"), "{html}");
     assert!(html.contains("gray_encode_w16_4k"), "ledger case present");
-    assert!(html.contains("regressed@eeee555"), "changepoint verdict surfaced");
+    assert!(
+        html.contains("regressed@eeee555"),
+        "changepoint verdict surfaced"
+    );
     assert!(html.contains("<svg"), "inline SVG figures present");
-    assert!(html.contains("fig3_gaussian.txt"), "artifact listing present");
+    assert!(
+        html.contains("fig3_gaussian.txt"),
+        "artifact listing present"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -133,18 +143,26 @@ fn dash_json_index_pins_the_schema() {
         Some("tsv3d-dash/v1")
     );
     assert!(
-        value.get("bench_files").and_then(JsonValue::as_u64).unwrap_or(0) >= 10,
+        value
+            .get("bench_files")
+            .and_then(JsonValue::as_u64)
+            .unwrap_or(0)
+            >= 10,
         "committed bench artifacts ingested"
     );
     // The regressed fixture ledger surfaces through the index too.
     assert_eq!(value.get("regressed").and_then(JsonValue::as_u64), Some(1));
     let sections = value.get("sections").expect("sections object");
     assert_eq!(
-        sections.get("flamegraph").map(|v| matches!(v, JsonValue::Bool(true))),
+        sections
+            .get("flamegraph")
+            .map(|v| matches!(v, JsonValue::Bool(true))),
         Some(true)
     );
     assert_eq!(
-        sections.get("converge").map(|v| matches!(v, JsonValue::Bool(true))),
+        sections
+            .get("converge")
+            .map(|v| matches!(v, JsonValue::Bool(true))),
         Some(true)
     );
     // The HTML is written even in json mode.
@@ -158,9 +176,21 @@ fn dash_exit_codes_follow_the_contract() {
     // Usage errors exit 2 and print the usage text.
     let out = tsv3d(&["dash", "--frobnicate"]);
     assert_eq!(out.status.code(), Some(2));
-    assert!(stderr(&out).contains("Usage: tsv3d dash"), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("Usage: tsv3d dash"),
+        "{}",
+        stderr(&out)
+    );
     let out = tsv3d(&["dash", "--format", "yaml"]);
     assert_eq!(out.status.code(), Some(2));
+    // The trailing-window trend and its --window flag are gone.
+    let out = tsv3d(&["dash", "--window", "5"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(
+        stderr(&out).contains("Usage: tsv3d dash"),
+        "{}",
+        stderr(&out)
+    );
 
     // An explicitly-named unreadable input is an operational failure.
     let html = dir.join("x.html");
@@ -232,7 +262,7 @@ fn format_json_audit_pins_every_subcommand_schema() {
             "history",
             cli::HISTORY_USAGE,
             vec!["history", &steady, "--format", "json"],
-            "tsv3d-history-report/v1",
+            "tsv3d-history-detect/v1",
         ),
         (
             "history --detect",
@@ -267,7 +297,12 @@ fn format_json_audit_pins_every_subcommand_schema() {
             "{name}: usage must advertise --format json|text"
         );
         let out = tsv3d(&args);
-        assert_eq!(out.status.code(), Some(0), "{name} stderr: {}", stderr(&out));
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{name} stderr: {}",
+            stderr(&out)
+        );
         let value = json::parse(&stdout(&out))
             .unwrap_or_else(|e| panic!("{name}: stdout is one JSON document ({e})"));
         assert_eq!(

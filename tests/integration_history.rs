@@ -1,8 +1,8 @@
 //! End-to-end tests of `tsv3d history` against the committed fixture
-//! ledgers in `tests/data/`: trend tables, the `--detect` changepoint
-//! mode with its `--gate-detect` exit contract (0 pass / 1 regressed /
-//! 2 usage), old-ledger back-compat, and the skip-and-count
-//! robustness policy for malformed ledger lines.
+//! ledgers in `tests/data/`: the newest-record table with its
+//! `--gate-detect` exit contract (0 pass / 1 regressed / 2 usage), the
+//! `--detect` changepoint mode, old-ledger back-compat, and the
+//! skip-and-count robustness policy for malformed ledger lines.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -49,10 +49,12 @@ fn steady_ledger_passes_the_detect_gate() {
         "{}",
         stderr(&out)
     );
-    // The trend table reads the same ledger without a gate.
-    let out = tsv3d(&["history", &fixture("history_steady.jsonl")]);
-    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
-    assert!(stdout(&out).contains(" ok"), "{}", stdout(&out));
+    // Without a flag, history prints the gate's table; a steady cell
+    // shows its newest record's delta.
+    let plain = tsv3d(&["history", &fixture("history_steady.jsonl")]);
+    assert_eq!(plain.status.code(), Some(0), "stderr: {}", stderr(&plain));
+    assert_eq!(stdout(&plain), text);
+    assert!(text.contains("steady (+0.7%)"), "{text}");
 }
 
 #[test]
@@ -96,12 +98,15 @@ fn insufficient_window_never_fails_the_gate() {
     let out = tsv3d(&["history", &fixture("history_short.jsonl"), "--gate-detect"]);
     assert_eq!(out.status.code(), Some(0), "stdout: {}", stdout(&out));
     assert!(stdout(&out).contains("insufficient"), "{}", stdout(&out));
-    let out = tsv3d(&["history", &fixture("history_short.jsonl")]);
-    assert_eq!(out.status.code(), Some(0), "stdout: {}", stdout(&out));
+    // The fixture's older `kind:"run"` rows all parse.
+    assert!(!stderr(&out).contains("skipped"), "{}", stderr(&out));
+    let plain = tsv3d(&["history", &fixture("history_short.jsonl")]);
+    assert_eq!(plain.status.code(), Some(0), "stdout: {}", stdout(&plain));
+    assert_eq!(stdout(&plain), stdout(&out));
     assert!(
-        stdout(&out).contains("insufficient window"),
+        stdout(&plain).contains("insufficient (2 pts)"),
         "{}",
-        stdout(&out)
+        stdout(&plain)
     );
 }
 
@@ -119,7 +124,7 @@ fn json_format_emits_a_machine_readable_report() {
     let value = json::parse(&stdout(&out)).expect("stdout is one JSON document");
     assert_eq!(
         value.get("schema").and_then(JsonValue::as_str),
-        Some("tsv3d-history-report/v1")
+        Some("tsv3d-history-detect/v1")
     );
     assert_eq!(value.get("records").and_then(JsonValue::as_u64), Some(9));
     let cases = match value.get("cases") {
@@ -127,11 +132,12 @@ fn json_format_emits_a_machine_readable_report() {
         other => panic!("cases must be an array, got {other:?}"),
     };
     assert_eq!(cases.len(), 2);
-    let statuses: Vec<&str> = cases
+    let verdicts: Vec<&str> = cases
         .iter()
-        .filter_map(|c| c.get("status").and_then(JsonValue::as_str))
+        .filter_map(|c| c.get("wall_ns")?.get("verdict")?.as_str())
         .collect();
-    assert_eq!(statuses, ["ok", "ok"]);
+    assert_eq!(verdicts, ["regressed", "insufficient"]);
+    let plain = stdout(&out);
 
     let out = tsv3d(&[
         "history",
@@ -145,21 +151,22 @@ fn json_format_emits_a_machine_readable_report() {
         Some(1),
         "gate verdict survives --format json"
     );
-    json::parse(&stdout(&out)).expect("stdout is one JSON document");
+    assert_eq!(stdout(&out), plain, "the gate emits the same document");
 }
 
 #[test]
 fn prepulse_records_parse_trend_and_gate_without_skips() {
-    // The fixture ledger predates the wall_s field: no record carries
-    // it. Every line must parse (no skip-and-count) and
-    // participate fully in trends and gating.
+    // The fixture ledger predates the available_parallelism and
+    // allocation fields. Every line must parse (no skip-and-count) and
+    // participate fully in the table and the gate.
     let out = tsv3d(&["history", &fixture("history_prepulse.jsonl")]);
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
     let text = stdout(&out);
-    // The table renders '-' for the absent wall column…
+    // Without a flag the table only reports…
     assert!(text.contains("10 record(s)"), "{text}");
     assert!(text.contains("codec_hamming_w16"), "{text}");
-    assert!(text.contains(" ok"), "{text}");
+    assert!(text.contains("steady (-0.4%)"), "{text}");
+    assert!(text.contains("REGRESSED@eeee555"), "{text}");
 
     // …the steady case stays green, and the regression in equally
     // old records still trips the gate.
@@ -208,12 +215,12 @@ fn detect_flags_the_regressed_fixture_and_clears_the_steady_one() {
     // The regressed fixture: the gray_encode series jumps 2x at its
     // last record (rev eeee555) — flagged at the exact revision, while
     // the 4-point mna series stays insufficient and never gates.
-    let out = tsv3d(&[
-        "history",
-        &fixture("history_regressed.jsonl"),
-        "--detect",
-    ]);
-    assert_eq!(out.status.code(), Some(0), "detect without gate reports only");
+    let out = tsv3d(&["history", &fixture("history_regressed.jsonl"), "--detect"]);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "detect without gate reports only"
+    );
     let text = stdout(&out);
     assert!(text.contains("REGRESSED@eeee555"), "{text}");
     assert!(text.contains("insufficient"), "{text}");
@@ -281,7 +288,8 @@ fn detect_json_emits_the_pinned_detect_schema() {
 
 #[test]
 fn usage_errors_exit_2_and_missing_ledger_exits_1() {
-    let out = tsv3d(&["history", "--window", "0"]);
+    // The trailing-window trend and its --window flag are gone.
+    let out = tsv3d(&["history", "--window", "5"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("Usage: tsv3d history"));
 
@@ -427,11 +435,20 @@ fn a_non_positive_median_in_a_gated_window_is_a_bad_baseline() {
             "{err}"
         );
         assert!(!err.contains("healthy_case"), "{err}");
-        // History still renders the same ledger.
+        // History still renders the same ledger, and the ungated table
+        // warns about the row it cannot use.
         assert_eq!(
             tsv3d(&["history", &path, "--detect"]).status.code(),
             Some(0)
         );
+        let out = tsv3d(&["history", &path]);
+        assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+        assert!(
+            stderr(&out).contains("warning: BAD-BASELINE"),
+            "{}",
+            stderr(&out)
+        );
+        assert!(stdout(&out).contains("healthy_case"), "{}", stdout(&out));
     }
     // A zero allocation window is an allocation-free case: the alloc
     // comparison is skipped, never flagged.
